@@ -17,6 +17,9 @@ echo "==> cargo test"
 cargo test --offline --workspace -q
 cargo test --offline -q -p sxcheck -p ncar-bench --features sxcheck/audit,ncar-bench/audit
 
+echo "==> perfbench tests (the benchmark is its own workspace, built against sxd and the simulator)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> reactor unit + lifecycle regressions (decoder parity, timer wheel, conn churn, fd hygiene)"
 cargo test --offline -q -p ncar-suite reactor
 cargo test --offline -q -p sxd --test reactor_lifecycle

@@ -28,7 +28,6 @@ pub mod slt;
 pub mod spectra;
 pub mod spectral;
 pub mod vertical;
-pub mod wire;
 
 pub use model::{Ccm2Config, Ccm2Proxy, StepTiming};
 pub use resolution::Resolution;

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!            epoll/poll readiness                 bounded WorkerPool
-//!  sockets ──────────────► reactor thread ──frame──► dispatchers ──┐
+//!  sockets ──────────────► reactor thread ───job───► dispatchers ──┐
 //!     ▲                      │    ▲                                │
 //!     └──────── replies ─────┘    └────── completions + waker ─────┘
 //! ```
@@ -22,11 +22,12 @@
 //! - **Decode**: read-readiness drains the socket into a [`LineDecoder`]
 //!   (same accept/reject semantics as the blocking frame reader). Each
 //!   complete frame is assigned the connection's next sequence number.
-//! - **Fast path**: before paying a dispatcher handoff, the frame is
-//!   offered to [`Service::fast_handle`] *on the reactor thread*. A
-//!   service answers inline when the reply is cheap to produce (cache
-//!   hits, stats snapshots, typed protocol errors); everything else
-//!   returns `None` and takes the pool.
+//! - **Classify**: each frame goes to [`Service::classify`] *on the
+//!   reactor thread*, which parses it once and either answers it inline
+//!   (cache hits, stats snapshots, typed protocol errors — replies that
+//!   are cheap to produce) or returns the parsed job for the pool, where
+//!   [`Service::run`] finishes it. A panic in `classify` closes only its
+//!   own connection, exactly like a panic in a dispatched `run`.
 //! - **Dispatch window**: up to [`ReactorConfig::pipeline_depth`] frames
 //!   may be in flight per connection (consumed but not yet replied).
 //!   Dispatcher threads may block (NQS admission, journal writes) without
@@ -80,6 +81,12 @@ const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
 const TOK_BASE: u64 = 2;
 
+/// Accept backlog for the listener. `TcpListener::bind` listens with
+/// std's fixed backlog of 128, which a burst of simultaneous connects (a
+/// 1000-client flood) overflows — the overflowed handshakes are reset.
+/// The kernel caps this at `net.core.somaxconn`.
+const BACKLOG: i32 = 4096;
+
 /// Most reply buffers a connection's flush will hand to one vectored
 /// write. Far below any platform IOV_MAX; past this, batching returns
 /// are flat anyway.
@@ -102,6 +109,10 @@ pub struct Reply {
     pub close: bool,
 }
 
+/// No reply, close the connection: what a panicking `classify` or `run`
+/// turns into.
+const PANICKED: Reply = Reply { line: String::new(), close: true };
+
 impl Reply {
     pub fn send(line: String) -> Reply {
         Reply { line, close: false }
@@ -112,33 +123,42 @@ impl Reply {
     }
 }
 
-/// The application half of the reactor: frame in, reply out.
+/// What [`Service::classify`] decided for one frame.
+pub enum Classified<J> {
+    /// Answered on the reactor thread; no dispatcher handoff.
+    Inline(Reply),
+    /// Hand this job to a dispatcher, which answers it with
+    /// [`Service::run`].
+    Dispatch(J),
+}
+
+/// The application half of the reactor: frame in, reply out, in two
+/// steps.
 ///
-/// `handle` runs on a dispatcher thread and may block (admission waits,
-/// journal writes); the reactor thread itself never calls it.
-/// `fast_handle` is the opposite contract: it runs *on the reactor
-/// thread* and must not block, returning `Some` only when the reply is
-/// cheap to produce. Each connection owns one `Conn` value of
-/// per-connection service state, created at accept and shared by
-/// reference with every (possibly concurrent, under pipelining) handler
+/// `classify` runs *on the reactor thread* for every decoded frame and
+/// must not block: it parses the frame and either answers it inline or
+/// returns the parsed job. `run` receives that job on a dispatcher
+/// thread and may block (admission waits, journal writes); the reactor
+/// thread itself never calls it. Each connection owns one `Conn` value
+/// of per-connection service state, created at accept and shared by
+/// reference with every (possibly concurrent, under pipelining)
 /// invocation for that connection.
 pub trait Service: Send + Sync + 'static {
     type Conn: Send + Sync + 'static;
+    /// A frame classified for the pool — typically its parsed request,
+    /// so no frame is parsed twice.
+    type Job: Send + 'static;
 
     /// A connection was accepted; build its per-connection state.
     fn open(&self, id: u64) -> Self::Conn;
 
-    /// Handle one decoded frame. Runs on a dispatcher thread.
-    fn handle(&self, conn: &Self::Conn, frame: &str) -> Reply;
+    /// Answer one decoded frame inline or turn it into a job. Runs on
+    /// the reactor thread: no waits, no runs, at most short leaf-lock
+    /// critical sections.
+    fn classify(&self, conn: &Self::Conn, frame: String) -> Classified<Self::Job>;
 
-    /// Try to answer a frame inline on the reactor thread, skipping the
-    /// dispatcher handoff. Must not block: no waits, no runs, at most
-    /// short leaf-lock critical sections. Return `None` to send the
-    /// frame down the normal `handle` path.
-    fn fast_handle(&self, conn: &Self::Conn, frame: &str) -> Option<Reply> {
-        let _ = (conn, frame);
-        None
-    }
+    /// Answer one classified job. Runs on a dispatcher thread.
+    fn run(&self, conn: &Self::Conn, job: Self::Job) -> Reply;
 
     /// Render the reply line for a frame that could not be decoded. The
     /// connection always closes after this reply (there is no resync
@@ -161,7 +181,7 @@ pub struct ReactorConfig {
     /// Close connections idle longer than this; `None` disables the
     /// timeout wheel entirely.
     pub idle_timeout: Option<Duration>,
-    /// Dispatcher threads running [`Service::handle`]. This bounds
+    /// Dispatcher threads running [`Service::run`]. This bounds
     /// frame-handling concurrency the way the old model's thread count
     /// bounded connections — but it no longer bounds *connections*.
     pub dispatchers: usize,
@@ -336,6 +356,7 @@ pub struct Reactor<S: Service> {
 impl<S: Service> Reactor<S> {
     pub fn new(listener: TcpListener, service: S, config: ReactorConfig) -> io::Result<Reactor<S>> {
         listener.set_nonblocking(true)?;
+        poller::listen(poller::raw_fd(&listener), BACKLOG)?;
         let mut poller = Poller::new()?;
         let (waker_rx, waker_tx) = poller::waker_pair()?;
         poller.register(poller::raw_fd(&listener), TOK_LISTENER, Interest::READ)?;
@@ -619,19 +640,24 @@ impl<S: Service> Reactor<S> {
             match step {
                 Step::Frame(frame) => {
                     self.shared.stats.frames.fetch_add(1, Ordering::Relaxed);
-                    let (seq, fast) = {
+                    let (seq, class) = {
                         let Some(conn) = self.conns.get_mut(&token) else { return };
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
-                        let fast = self.service.fast_handle(&conn.sconn, &frame);
-                        (seq, fast)
+                        // Guarded like a dispatched `run`: a panic here
+                        // closes this connection, not the event loop.
+                        let class = catch_unwind(AssertUnwindSafe(|| {
+                            self.service.classify(&conn.sconn, frame)
+                        }))
+                        .unwrap_or_else(|_| Classified::Inline(PANICKED));
+                        (seq, class)
                     };
-                    match fast {
-                        Some(reply) => {
+                    match class {
+                        Classified::Inline(reply) => {
                             let Some(conn) = self.conns.get_mut(&token) else { return };
                             conn.pending.insert(seq, reply);
                         }
-                        None => self.dispatch(token, seq, frame, pool),
+                        Classified::Dispatch(job) => self.dispatch(token, seq, job, pool),
                     }
                 }
                 Step::DecodeErr(e) => {
@@ -712,7 +738,7 @@ impl<S: Service> Reactor<S> {
         }
     }
 
-    fn dispatch(&mut self, token: u64, seq: u64, frame: String, pool: &WorkerPool) {
+    fn dispatch(&mut self, token: u64, seq: u64, job: S::Job, pool: &WorkerPool) {
         let sconn = {
             let Some(conn) = self.conns.get(&token) else { return };
             Arc::clone(&conn.sconn)
@@ -725,11 +751,9 @@ impl<S: Service> Reactor<S> {
             // A panicking handler must not kill the dispatcher's worker
             // loop or strand the connection: turn it into "no reply,
             // close". The daemon's own panic accounting happens inside
-            // `handle` (its job runner has its own catch_unwind).
-            let reply = match catch_unwind(AssertUnwindSafe(|| service.handle(&sconn, &frame))) {
-                Ok(reply) => reply,
-                Err(_) => Reply { line: String::new(), close: true },
-            };
+            // `run` (its job runner has its own catch_unwind).
+            let reply =
+                catch_unwind(AssertUnwindSafe(|| service.run(&sconn, job))).unwrap_or(PANICKED);
             let _ = tx.send(Completion { id: token, seq, reply });
             wake.wake();
         });
@@ -915,24 +939,32 @@ mod tests {
 
     impl Service for Echo {
         type Conn = u64;
+        type Job = String;
 
         fn open(&self, id: u64) -> u64 {
             id
         }
 
-        fn handle(&self, conn: &u64, frame: &str) -> Reply {
-            match frame {
+        fn classify(&self, conn: &u64, frame: String) -> Classified<String> {
+            if frame == "fast-boom" {
+                panic!("classify exploded (expected by test)");
+            }
+            match frame.strip_prefix("fast:") {
+                Some(hot) => {
+                    self.fast_hits.fetch_add(1, Ordering::SeqCst);
+                    Classified::Inline(Reply::send(format!("fast[{conn}]:{hot}")))
+                }
+                None => Classified::Dispatch(frame),
+            }
+        }
+
+        fn run(&self, conn: &u64, frame: String) -> Reply {
+            match frame.as_str() {
                 "quit" => Reply::send_and_close("bye".into()),
                 "boom" => panic!("handler exploded (expected by test)"),
                 "big" => Reply::send("B".repeat(96 * 1024 * 1024)),
                 f => Reply::send(format!("echo[{conn}]:{f}")),
             }
-        }
-
-        fn fast_handle(&self, conn: &u64, frame: &str) -> Option<Reply> {
-            let hot = frame.strip_prefix("fast:")?;
-            self.fast_hits.fetch_add(1, Ordering::SeqCst);
-            Some(Reply::send(format!("fast[{conn}]:{hot}")))
         }
 
         fn decode_error_reply(&self, err: &DecodeError) -> String {
@@ -1098,6 +1130,28 @@ mod tests {
         finish(r);
     }
 
+    /// A panic in `classify` runs on the reactor thread itself: it must
+    /// close only the frame's connection (no reply), while every other
+    /// connection keeps being served and shutdown still completes.
+    #[test]
+    fn a_panicking_classify_closes_only_its_connection() {
+        let r = start(ReactorConfig::default());
+        let other = TcpStream::connect(r.addr).unwrap();
+        let mut other_reader = io::BufReader::new(other.try_clone().unwrap());
+        (&other).write_all(b"before\n").unwrap();
+        assert!(read_line(&mut other_reader).unwrap().ends_with(":before"));
+
+        let victim = TcpStream::connect(r.addr).unwrap();
+        let mut victim_reader = io::BufReader::new(victim.try_clone().unwrap());
+        (&victim).write_all(b"fast-boom\nnever-answered\n").unwrap();
+        assert_eq!(read_line(&mut victim_reader), None, "panic closes with no reply");
+
+        (&other).write_all(b"fast:after\nafter\n").unwrap();
+        assert!(read_line(&mut other_reader).unwrap().ends_with("]:after"));
+        assert!(read_line(&mut other_reader).unwrap().ends_with(":after"));
+        finish(r);
+    }
+
     #[test]
     fn shutdown_with_zero_clients_completes_promptly() {
         let r = start(ReactorConfig::default());
@@ -1142,10 +1196,15 @@ mod tests {
 
     impl Service for Jitter {
         type Conn = ();
+        type Job = String;
 
         fn open(&self, _id: u64) {}
 
-        fn handle(&self, _conn: &(), frame: &str) -> Reply {
+        fn classify(&self, _conn: &(), frame: String) -> Classified<String> {
+            Classified::Dispatch(frame)
+        }
+
+        fn run(&self, _conn: &(), frame: String) -> Reply {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for b in frame.bytes() {
                 h ^= u64::from(b);

@@ -79,6 +79,7 @@ mod linux {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+        pub(super) fn listen(fd: i32, backlog: i32) -> i32;
     }
 
     pub struct Poller {
@@ -201,6 +202,7 @@ mod fallback {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: usize, timeout: i32) -> i32;
+        pub(super) fn listen(fd: i32, backlog: i32) -> i32;
     }
 
     pub struct Poller {
@@ -284,6 +286,21 @@ pub fn waker_pair() -> io::Result<(std::os::unix::net::UnixStream, std::os::unix
     a.set_nonblocking(true)?;
     b.set_nonblocking(true)?;
     Ok((a, b))
+}
+
+/// Re-issue `listen(2)` on an already-listening socket, which resets its
+/// accept backlog.
+pub fn listen(fd: RawFd, backlog: i32) -> io::Result<()> {
+    #[cfg(all(unix, not(target_os = "linux")))]
+    use fallback::listen as sys_listen;
+    #[cfg(target_os = "linux")]
+    use linux::listen as sys_listen;
+    // SAFETY: `listen(2)` reads no memory through its arguments; a bad fd
+    // or a socket that cannot listen is reported through the return value.
+    if unsafe { sys_listen(fd, backlog) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// Raw-fd view used by the reactor when registering sockets.

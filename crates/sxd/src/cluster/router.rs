@@ -24,9 +24,11 @@
 //! everything, then collect everything, turning N round trips into one
 //! send burst plus one collect sweep.
 //!
-//! `route` and parse errors are pure ring math — no member I/O — so the
-//! reactor answers them inline on its own thread (the router's fast path,
-//! counted in `fastpath_hits`).
+//! Each frame is parsed once, by the router's `classify` on the reactor
+//! thread. `route` and parse errors are pure ring math — no member I/O —
+//! so they are answered right there (the router's fast path, counted in
+//! `fastpath_hits`); every other request reaches a dispatcher together
+//! with its raw frame, which `submit` and `put` forward verbatim.
 //!
 //! The router's long-lived locks (`sxd.router.members`,
 //! `sxd.router.handles`, `sxd.router.counters`, `sxd.router.reactor`,
@@ -45,7 +47,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ncar_suite::par::lockreg;
-use ncar_suite::reactor::{DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service};
+use ncar_suite::reactor::{
+    Classified, DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service,
+};
 use ncar_suite::{plock_named, Json};
 use sxsim::presets;
 
@@ -242,18 +246,43 @@ struct RouterService {
 
 impl Service for RouterService {
     type Conn = ();
+    /// The parsed request and its raw frame: `submit` and `put` forward
+    /// the client's bytes verbatim.
+    type Job = (Request, String);
 
     fn open(&self, _id: u64) {}
 
-    fn handle(&self, _conn: &(), frame: &str) -> Reply {
-        Reply::send(handle_frame(&self.inner, frame))
+    /// Parse once. `route` and parse errors are pure ring math, answered
+    /// inline; everything else holds member I/O and dispatches.
+    fn classify(&self, _conn: &(), frame: String) -> Classified<(Request, String)> {
+        let inner = &self.inner;
+        let bad = |e: SxdError| {
+            plock_named(&inner.counters, "sxd.router.counters").bad_requests += 1;
+            e.to_reply()
+        };
+        let reply = match Request::parse(&frame) {
+            Err(e) => bad(e),
+            Ok(Request::Route { suite, machine, params }) => match presets::by_name(&machine) {
+                None => bad(SxdError::UnknownMachine { machine }),
+                Some(model) => {
+                    let key = cache_key(&suite, &model, &params);
+                    match owner_of(inner, key) {
+                        Ok(owner) => format!(
+                            "{{\"ok\":true,\"member\":{owner},\"shard\":\"{}\",\"key\":\"{key:016x}\"}}",
+                            inner.ring.name(owner)
+                        ),
+                        Err(e) => e.to_reply(),
+                    }
+                }
+            },
+            Ok(req) => return Classified::Dispatch((req, frame)),
+        };
+        plock_named(&inner.counters, "sxd.router.counters").fastpath_hits += 1;
+        Classified::Inline(Reply::send(reply))
     }
 
-    /// Reactor-thread fast path: `route` and parse errors are pure ring
-    /// math, answered inline; everything else holds member I/O and
-    /// dispatches.
-    fn fast_handle(&self, _conn: &(), frame: &str) -> Option<Reply> {
-        fast_frame(&self.inner, frame).map(Reply::send)
+    fn run(&self, _conn: &(), (req, frame): (Request, String)) -> Reply {
+        Reply::send(handle_request(&self.inner, req, &frame).unwrap_or_else(|e| e.to_reply()))
     }
 
     fn decode_error_reply(&self, err: &DecodeError) -> String {
@@ -441,133 +470,57 @@ fn owner_of(inner: &RouterInner, key: u64) -> Result<usize, SxdError> {
     })
 }
 
-/// Answer a `route` request: ring math only, shared by the dispatcher
-/// path and the fast path. Counts its own `bad_requests`.
-fn route_reply(
-    inner: &RouterInner,
-    suite: &str,
-    machine: &str,
-    params: &std::collections::BTreeMap<String, String>,
-) -> String {
-    let Some(model) = presets::by_name(machine) else {
-        plock_named(&inner.counters, "sxd.router.counters").bad_requests += 1;
-        return SxdError::UnknownMachine { machine: machine.to_string() }.to_reply();
-    };
-    let key = cache_key(suite, &model, params);
-    match owner_of(inner, key) {
-        Ok(owner) => format!(
-            "{{\"ok\":true,\"member\":{owner},\"shard\":\"{}\",\"key\":\"{key:016x}\"}}",
-            inner.ring.name(owner)
-        ),
-        Err(e) => e.to_reply(),
-    }
-}
-
-/// The router's fast path: frames that need no member I/O — `route` and
-/// parse errors — answer inline on the reactor thread. Everything else
-/// returns `None` and dispatches.
-fn fast_frame(inner: &RouterInner, frame: &str) -> Option<String> {
-    let reply = match Request::parse(frame) {
-        Err(e) => {
-            let mut c = plock_named(&inner.counters, "sxd.router.counters");
-            c.bad_requests += 1;
-            c.fastpath_hits += 1;
-            drop(c);
-            e.to_reply()
-        }
-        Ok(Request::Route { ref suite, ref machine, ref params }) => {
-            let r = route_reply(inner, suite, machine, params);
-            plock_named(&inner.counters, "sxd.router.counters").fastpath_hits += 1;
-            r
-        }
-        Ok(_) => return None,
-    };
-    Some(reply)
-}
-
-fn handle_frame(inner: &Arc<RouterInner>, frame: &str) -> String {
-    let parsed = match Request::parse(frame) {
-        Ok(r) => r,
-        Err(e) => {
-            plock_named(&inner.counters, "sxd.router.counters").bad_requests += 1;
-            return e.to_reply();
-        }
-    };
-    match parsed {
-        Request::Submit { ref suite, ref machine, ref params } => {
-            let Some(model) = presets::by_name(machine) else {
+/// Answer one dispatched request; `frame` is its raw line, forwarded
+/// verbatim by `submit` and `put`.
+fn handle_request(inner: &Arc<RouterInner>, req: Request, frame: &str) -> Result<String, SxdError> {
+    match req {
+        Request::Submit { suite, machine, params } => {
+            let Some(model) = presets::by_name(&machine) else {
                 plock_named(&inner.counters, "sxd.router.counters").bad_requests += 1;
-                return SxdError::UnknownMachine { machine: machine.clone() }.to_reply();
+                return Err(SxdError::UnknownMachine { machine });
             };
-            let key = cache_key(suite, &model, params);
-            match owner_of(inner, key).and_then(|owner| forward(inner, owner, frame)) {
-                Ok(reply) => reply,
-                Err(e) => e.to_reply(),
-            }
+            forward(inner, owner_of(inner, cache_key(&suite, &model, &params))?, frame)
         }
-        Request::Put { key, .. } => {
-            match owner_of(inner, key).and_then(|owner| forward(inner, owner, frame)) {
-                Ok(reply) => reply,
-                Err(e) => e.to_reply(),
-            }
+        Request::Put { key, .. } => forward(inner, owner_of(inner, key)?, frame),
+        Request::Route { .. } => unreachable!("classify answers route inline"),
+        Request::Stats => {
+            // Splice the router's own tallies into the merged stats
+            // object as an extra `router` member.
+            let docs = fanout_docs(inner, &Request::Stats.to_line(), "stats")?;
+            let mut merged = aggregate::merge_stats(&docs);
+            merged.pop(); // drop the closing brace
+            let router = router_json(inner);
+            Ok(format!("{{\"ok\":true,\"stats\":{merged},\"router\":{router}}}}}"))
         }
-        Request::Route { ref suite, ref machine, ref params } => {
-            // Normally answered by the fast path; kept here so the verb
-            // still works if a service ever routes it through dispatch.
-            route_reply(inner, suite, machine, params)
+        Request::Metrics => {
+            let docs = fanout_docs(inner, &Request::Metrics.to_line(), "metrics")?;
+            Ok(format!("{{\"ok\":true,\"metrics\":{}}}", aggregate::merge_metrics(&docs)))
         }
-        Request::Stats => match fanout_docs(inner, &Request::Stats.to_line(), "stats") {
-            Ok(docs) => {
-                // Splice the router's own tallies into the merged stats
-                // object as an extra `router` member.
-                let mut merged = aggregate::merge_stats(&docs);
-                merged.pop(); // drop the closing brace
-                let router = router_json(inner);
-                format!("{{\"ok\":true,\"stats\":{merged},\"router\":{router}}}}}")
-            }
-            Err(e) => e.to_reply(),
-        },
-        Request::Metrics => match fanout_docs(inner, &Request::Metrics.to_line(), "metrics") {
-            Ok(docs) => {
-                let merged = aggregate::merge_metrics(&docs);
-                format!("{{\"ok\":true,\"metrics\":{merged}}}")
-            }
-            Err(e) => e.to_reply(),
-        },
         Request::Shutdown => {
-            shutdown_cluster(inner);
-            "{\"ok\":true,\"shutting_down\":true}".into()
+            retire_cluster(inner, &Request::Shutdown.to_line());
+            Ok("{\"ok\":true,\"shutting_down\":true}".into())
         }
-        Request::Drain { deadline_ms, member: Some(idx) } => {
+        Request::Drain { deadline_ms, member } => {
             let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(inner.drain_deadline);
-            match drain_member(inner, idx, deadline) {
-                Ok(reply) => reply,
-                Err(e) => e.to_reply(),
+            if let Some(idx) = member {
+                return drain_member(inner, idx, deadline);
             }
-        }
-        Request::Drain { deadline_ms, member: None } => {
             // Cluster-wide graceful drain: every member drains (each
             // checkpointing its own stragglers), then the router follows.
-            let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(inner.drain_deadline);
-            let alive: Vec<usize> = {
-                let members = plock_named(&inner.members, "sxd.router.members");
-                (0..members.len()).filter(|&m| members[m].alive).collect()
-            };
-            for idx in alive {
-                let req =
-                    Request::Drain { deadline_ms: Some(deadline.as_millis() as u64), member: None };
-                let _ = forward(inner, idx, &req.to_line());
-            }
-            let inner2 = Arc::clone(inner);
-            std::thread::spawn(move || {
-                for h in drain_handles(&inner2) {
-                    let _ = h.join();
-                }
-                initiate_shutdown(&inner2);
-            });
-            format!("{{\"ok\":true,\"draining\":true,\"deadline_ms\":{}}}", deadline.as_millis())
+            let deadline_ms = Some(deadline.as_millis() as u64);
+            retire_cluster(inner, &Request::Drain { deadline_ms, member: None }.to_line());
+            Ok(format!(
+                "{{\"ok\":true,\"draining\":true,\"deadline_ms\":{}}}",
+                deadline.as_millis()
+            ))
         }
     }
+}
+
+/// Indices of the members still in the ring.
+fn alive_members(inner: &RouterInner) -> Vec<usize> {
+    let members = plock_named(&inner.members, "sxd.router.members");
+    (0..members.len()).filter(|&m| members[m].alive).collect()
 }
 
 /// The router's own counters, for the `router` member of a stats reply.
@@ -607,12 +560,8 @@ fn router_json(inner: &RouterInner) -> String {
 /// [`forward`]; a member that stays unreachable fails the whole fan-out —
 /// a partial stats view would silently break the reconciliation sums.
 fn fanout_docs(inner: &RouterInner, line: &str, member_key: &str) -> Result<Vec<Json>, SxdError> {
-    let alive: Vec<usize> = {
-        let members = plock_named(&inner.members, "sxd.router.members");
-        (0..members.len()).filter(|&m| members[m].alive).collect()
-    };
     let sends: Vec<(usize, Result<ReplyRx, SxdError>)> =
-        alive.into_iter().map(|idx| (idx, mux_send(inner, idx, line))).collect();
+        alive_members(inner).into_iter().map(|idx| (idx, mux_send(inner, idx, line))).collect();
     let mut docs = Vec::with_capacity(sends.len());
     for (idx, sent) in sends {
         let reply = match sent.and_then(mux_recv) {
@@ -635,16 +584,13 @@ fn fanout_docs(inner: &RouterInner, line: &str, member_key: &str) -> Result<Vec<
     Ok(docs)
 }
 
-/// Fan `shutdown` out to every live member, then retire the router once
-/// the member threads exit (asynchronously — the client gets its ack
-/// immediately, like a single daemon's shutdown).
-fn shutdown_cluster(inner: &Arc<RouterInner>) {
-    let alive: Vec<usize> = {
-        let members = plock_named(&inner.members, "sxd.router.members");
-        (0..members.len()).filter(|&m| members[m].alive).collect()
-    };
-    for idx in alive {
-        let _ = forward(inner, idx, &Request::Shutdown.to_line());
+/// Fan `line` (`shutdown`, or a cluster-wide `drain`) out to every live
+/// member, then retire the router once the member threads exit
+/// (asynchronously — the client gets its ack immediately, like a single
+/// daemon's shutdown).
+fn retire_cluster(inner: &Arc<RouterInner>, line: &str) {
+    for idx in alive_members(inner) {
+        let _ = forward(inner, idx, line);
     }
     let inner2 = Arc::clone(inner);
     std::thread::spawn(move || {

@@ -50,14 +50,19 @@
 //! leaf: it is taken and released in its own scope, never while another
 //! named lock is held and never holding one while acquiring another.
 //!
-//! The reactor-thread *fast path* ([`Daemon::fast_frame`]) answers cheap
-//! frames — cache hits, `stats`, typed bad requests — inline, without a
-//! dispatcher handoff. It takes the same `inflight` -> `cache` pair for
-//! its hit probe and `counters` alone to retire, so it adds no lock-graph
-//! edges; the one caveat is that its `stats` arm reads the `journal` slot
-//! and can ride out a concurrent append (bounded file IO, exempted as
-//! `sxd.journal.append`). Frames answered inline count `fastpath_hits`
-//! and observe the `fastpath` latency histogram.
+//! Each frame is parsed once, on the reactor thread, by
+//! [`DaemonService::classify`] (one `frame_parse` observation per frame).
+//! Cheap frames — parse errors, role refusals, `stats`, typed
+//! submit-resolution errors and cache hits — are answered inline, without
+//! a dispatcher handoff (the *fast path*); everything else reaches a
+//! dispatcher as the parsed request, and a cache-missing submit as the
+//! job [`Daemon::resolve_submit`] already resolved. The hit probe takes
+//! the same `inflight` -> `cache` pair as a dispatched submit and
+//! `counters` alone to retire, so it adds no lock-graph edges; the one
+//! caveat is that inline `stats` reads the `journal` slot and can ride out
+//! a concurrent append (bounded file IO, exempted as
+//! `sxd.journal.append`). Frames answered inline count `fastpath_hits` and
+//! observe the `fastpath` latency histogram.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener};
@@ -69,7 +74,9 @@ use std::time::{Duration, Instant};
 
 use ncar_suite::metrics::{Gauge, Histogram, MetricsRegistry};
 use ncar_suite::par::lockreg;
-use ncar_suite::reactor::{DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service};
+use ncar_suite::reactor::{
+    Classified, DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service,
+};
 use ncar_suite::report::{json_escape, json_f64};
 use ncar_suite::{plock, plock_named, Artifact, Json, Registry, WorkerPool};
 use superux::{Admission, JobSpec};
@@ -169,9 +176,8 @@ pub struct ServerConfig {
     /// depth above 1 changes throughput, never bytes. `1` (the default)
     /// serves strictly request-by-request, the pre-pipelining behavior.
     pub pipeline_depth: usize,
-    /// Answer cheap frames (cache hits, `stats`, typed bad requests)
-    /// inline on the reactor thread instead of paying a dispatcher round
-    /// trip. On by default; turn off to benchmark the dispatch path or to
+    /// Answer cheap frames (cache hits, `stats`, typed errors) inline on
+    /// the reactor thread instead of paying a dispatcher round trip. On by default; turn off to benchmark the dispatch path or to
     /// keep the reactor thread free of daemon locks.
     pub fastpath: bool,
 }
@@ -229,9 +235,10 @@ pub struct Counters {
     /// untouched.
     pub absorbed: u64,
     /// Frames answered inline on the reactor thread (cache hits, `stats`,
-    /// typed bad requests). Informational: a fast-path submit retires
-    /// through the same `accepted`/`done` transition as a dispatched hit,
-    /// so the counters invariant is untouched.
+    /// typed bad requests and submit-resolution errors). Informational: a
+    /// fast-path submit retires through the same `accepted`/`done`
+    /// transition as a dispatched hit, so the counters invariant is
+    /// untouched.
     pub fastpath_hits: u64,
     /// Per-suite serving totals, keyed by lowercased suite name.
     pub suites: BTreeMap<String, SuiteStat>,
@@ -474,13 +481,10 @@ impl Server {
             let d = Arc::clone(&self.daemon);
             std::thread::spawn(move || {
                 for spec in &restarts {
-                    let params: BTreeMap<String, String> = spec.params.iter().cloned().collect();
-                    let _ = d.submit_inner(
-                        &spec.suite,
-                        &spec.machine,
-                        &params,
-                        Some(spec.solo_seconds),
-                    );
+                    let params = spec.params.iter().cloned().collect();
+                    let _ = d
+                        .resolve_submit(spec.suite.clone(), &spec.machine, params)
+                        .and_then(|s| d.submit(s, Some(spec.solo_seconds)));
                 }
                 if let Some(dir) = &d.state_dir {
                     let _ = journal::clear_restart_specs(dir);
@@ -521,24 +525,79 @@ impl Server {
 }
 
 /// The daemon as the reactor sees it: stateless per connection (every
-/// frame is self-contained), one dispatcher call per decoded frame.
+/// frame is self-contained). `classify` parses each frame once on the
+/// reactor thread; `run` finishes on a dispatcher whatever it dispatched.
 struct DaemonService {
     daemon: Arc<Daemon>,
 }
 
+/// A frame [`DaemonService::classify`] left for a dispatcher.
+enum Job {
+    /// The frame's parse (or its parse error), untouched.
+    Request(Result<Request, SxdError>),
+    /// A submit already resolved on the reactor thread that missed the
+    /// cache.
+    Submit(Box<Submit>),
+}
+
 impl Service for DaemonService {
     type Conn = ();
+    type Job = Job;
 
     fn open(&self, _id: u64) {}
 
-    fn handle(&self, _conn: &(), frame: &str) -> Reply {
-        Reply::send(self.daemon.handle_frame(frame))
+    /// Parse the frame (one `frame_parse` observation, whatever follows)
+    /// and answer inline what is cheap and non-blocking: parse errors,
+    /// role refusals, `stats`, typed submit-resolution errors and cache
+    /// hits. Anything that could run, wait or park (misses, `metrics`,
+    /// drains, shutdown, puts) dispatches; with the fast path off,
+    /// everything does. Inline answers count `fastpath_hits` and observe
+    /// the `fastpath` histogram, decode to flush queue.
+    fn classify(&self, _conn: &(), frame: String) -> Classified<Job> {
+        let d = &self.daemon;
+        let t0 = Instant::now();
+        let parsed = Request::parse(&frame);
+        d.metrics.frame_parse.observe(t0.elapsed().as_secs_f64());
+        if !d.fastpath {
+            return Classified::Dispatch(Job::Request(parsed));
+        }
+        let reply = match parsed {
+            Ok(Request::Submit { suite, machine, params }) => {
+                match d.resolve_submit(suite, &machine, params) {
+                    Ok(submit) => match d.serve_hit(&submit, t0) {
+                        Some(reply) => reply,
+                        None => return Classified::Dispatch(Job::Submit(Box::new(submit))),
+                    },
+                    Err(e) => {
+                        plock_named(&d.counters, "sxd.counters").fastpath_hits += 1;
+                        e.to_reply()
+                    }
+                }
+            }
+            cheap @ (Err(_)
+            | Ok(
+                Request::Stats | Request::Route { .. } | Request::Drain { member: Some(_), .. },
+            )) => {
+                let reply = d.answer(cheap);
+                plock_named(&d.counters, "sxd.counters").fastpath_hits += 1;
+                reply
+            }
+            other => return Classified::Dispatch(Job::Request(other)),
+        };
+        d.metrics.fastpath.observe(t0.elapsed().as_secs_f64());
+        Classified::Inline(Reply::send(reply))
     }
 
-    /// Reactor-thread fast path: answer a frame inline when it is cheap
-    /// (see [`Daemon::fast_frame`]); `None` routes it to a dispatcher.
-    fn fast_handle(&self, _conn: &(), frame: &str) -> Option<Reply> {
-        self.daemon.fast_frame(frame).map(Reply::send)
+    fn run(&self, _conn: &(), job: Job) -> Reply {
+        let d = &self.daemon;
+        Reply::send(match job {
+            Job::Request(parsed) => d.answer(parsed),
+            // A drain may have begun while the miss waited for a dispatcher.
+            Job::Submit(submit) => d
+                .admitting()
+                .and_then(|()| d.submit(*submit, None))
+                .unwrap_or_else(|e| e.to_reply()),
+        })
     }
 
     /// Framing is lost (oversized or non-UTF-8 line): the typed error the
@@ -553,6 +612,17 @@ impl Service for DaemonService {
     }
 }
 
+/// A submit resolved to the job it names: what [`Daemon::resolve_submit`]
+/// produces and [`Daemon::submit`] runs.
+struct Submit {
+    suite: String,
+    params: BTreeMap<String, String>,
+    model: MachineModel,
+    key: u64,
+    demand: Demand,
+    runner: RunFn,
+}
+
 /// How one submit resolved against the cache and the in-flight table.
 enum SubmitPath {
     /// Served from the result cache.
@@ -564,143 +634,94 @@ enum SubmitPath {
 }
 
 impl Daemon {
-    fn handle_frame(self: &Arc<Self>, frame: &str) -> String {
-        let t_parse = Instant::now();
-        let parsed = Request::parse(frame);
-        self.metrics.frame_parse.observe(t_parse.elapsed().as_secs_f64());
-        match parsed {
-            Err(e) => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                e.to_reply()
-            }
-            Ok(Request::Stats) => self.stats_reply(),
-            Ok(Request::Metrics) => self.metrics_reply(),
+    /// Answer one parsed frame. Runs on a dispatcher, except for the
+    /// cheap verbs [`DaemonService::classify`] answers inline with it.
+    fn answer(self: &Arc<Self>, parsed: Result<Request, SxdError>) -> String {
+        let bad = |e: SxdError| {
+            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            Err(e)
+        };
+        let refuse = |detail: &str| bad(SxdError::BadRequest { detail: detail.into() });
+        let reply = match parsed {
+            Err(e) => bad(e),
+            Ok(Request::Stats) => Ok(self.stats_reply()),
+            Ok(Request::Metrics) => Ok(self.metrics_reply()),
             Ok(Request::Shutdown) => {
                 self.initiate_shutdown();
-                "{\"ok\":true,\"shutting_down\":true}".into()
+                Ok("{\"ok\":true,\"shutting_down\":true}".into())
             }
-            Ok(Request::Drain { deadline_ms: _, member: Some(_) }) => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                SxdError::BadRequest {
-                    detail: "\"member\" targets a cluster router; this is a single daemon".into(),
-                }
-                .to_reply()
+            Ok(Request::Drain { member: Some(_), .. }) => {
+                refuse("\"member\" targets a cluster router; this is a single daemon")
             }
             Ok(Request::Drain { deadline_ms, member: None }) => {
                 let deadline =
                     deadline_ms.map(Duration::from_millis).unwrap_or(self.drain_deadline);
                 self.start_drain(deadline);
-                format!(
+                Ok(format!(
                     "{{\"ok\":true,\"draining\":true,\"deadline_ms\":{}}}",
                     deadline.as_millis()
-                )
+                ))
             }
-            Ok(Request::Put { key, payload }) => match self.handle_put(key, &payload) {
-                Ok(reply) => reply,
-                Err(e) => e.to_reply(),
-            },
+            Ok(Request::Put { key, payload }) => self.handle_put(key, &payload),
             Ok(Request::Route { .. }) => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                SxdError::BadRequest {
-                    detail: "\"route\" is a cluster verb; this daemon is not a router".into(),
-                }
-                .to_reply()
+                refuse("\"route\" is a cluster verb; this daemon is not a router")
             }
             Ok(Request::Submit { suite, machine, params }) => {
-                match self.handle_submit(&suite, &machine, &params) {
-                    Ok(reply) => reply,
-                    Err(e) => e.to_reply(),
-                }
+                self.resolve_submit(suite, &machine, params).and_then(|s| self.submit(s, None))
             }
-        }
-    }
-
-    /// The reactor-thread fast path: answer `frame` inline when doing so
-    /// is cheap and non-blocking, or return `None` to route it through the
-    /// dispatcher pool as before. Cheap means: a parse error or cluster
-    /// verb (typed reply), `stats`, or a submit that resolves as a cache
-    /// hit under the `inflight` -> `cache` pair — the same lock order as
-    /// [`Daemon::submit_inner`]. Anything that could run, wait, or park
-    /// (misses, followers, `metrics`, drains, shutdown, puts) dispatches.
-    ///
-    /// `frame_parse` is observed only for frames answered here, so every
-    /// frame is counted exactly once (declined frames are re-parsed and
-    /// observed by the dispatcher). The `fastpath` histogram covers the
-    /// whole inline handling, decode to flush queue.
-    fn fast_frame(self: &Arc<Self>, frame: &str) -> Option<String> {
-        if !self.fastpath {
-            return None;
-        }
-        let t0 = Instant::now();
-        let parsed = Request::parse(frame);
-        let parse_wall = t0.elapsed().as_secs_f64();
-        let reply = match parsed {
-            Err(e) => {
-                let mut c = plock_named(&self.counters, "sxd.counters");
-                c.bad_requests += 1;
-                c.fastpath_hits += 1;
-                drop(c);
-                e.to_reply()
-            }
-            Ok(Request::Stats) => {
-                let r = self.stats_reply();
-                plock_named(&self.counters, "sxd.counters").fastpath_hits += 1;
-                r
-            }
-            Ok(Request::Route { .. }) => {
-                let mut c = plock_named(&self.counters, "sxd.counters");
-                c.bad_requests += 1;
-                c.fastpath_hits += 1;
-                drop(c);
-                SxdError::BadRequest {
-                    detail: "\"route\" is a cluster verb; this daemon is not a router".into(),
-                }
-                .to_reply()
-            }
-            Ok(Request::Drain { deadline_ms: _, member: Some(_) }) => {
-                let mut c = plock_named(&self.counters, "sxd.counters");
-                c.bad_requests += 1;
-                c.fastpath_hits += 1;
-                drop(c);
-                SxdError::BadRequest {
-                    detail: "\"member\" targets a cluster router; this is a single daemon".into(),
-                }
-                .to_reply()
-            }
-            Ok(Request::Submit { suite, machine, params }) => {
-                self.fast_submit(&suite, &machine, &params, t0)?
-            }
-            Ok(_) => return None,
         };
-        self.metrics.frame_parse.observe(parse_wall);
-        self.metrics.fastpath.observe(t0.elapsed().as_secs_f64());
-        Some(reply)
+        reply.unwrap_or_else(|e| e.to_reply())
     }
 
-    /// The submit arm of the fast path: `Some` only for a clean cache hit.
-    /// Unlike [`Daemon::submit_inner`] there is no pre-count into
-    /// `queued`: the hit retires in one counters critical section
-    /// (`accepted`, `done`, `fastpath_hits` and the `job` observation
-    /// together), so `accepted == done + rejected + queued + running`
-    /// holds at every instant on this path too.
-    fn fast_submit(
-        &self,
-        suite: &str,
-        machine: &str,
-        params: &BTreeMap<String, String>,
-        t_job: Instant,
-    ) -> Option<String> {
+    /// `Err(ShuttingDown)` once a shutdown or drain has stopped admission.
+    fn admitting(&self) -> Result<(), SxdError> {
         if self.shutting_down.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
-            return None; // the dispatcher owns the typed refusal
+            return Err(SxdError::ShuttingDown);
         }
-        // Unknown suites and machines dispatch too: their typed errors are
-        // not latency-critical and the dispatcher already counts them.
-        self.registry.get(suite)?;
-        let model = presets::by_name(machine)?;
-        let key = cache_key(suite, &model, params);
+        Ok(())
+    }
+
+    /// The one submit resolver, shared by the inline hit probe, the
+    /// dispatcher and restart re-admission: the admission check, then the
+    /// registry entry, the machine preset and the cache key. Unknown
+    /// suites and machines count as bad requests.
+    fn resolve_submit(
+        &self,
+        suite: String,
+        machine: &str,
+        params: BTreeMap<String, String>,
+    ) -> Result<Submit, SxdError> {
+        self.admitting()?;
+        let Some(entry) = self.registry.get(&suite) else {
+            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            return Err(SxdError::UnknownSuite { suite });
+        };
+        let Some(model) = presets::by_name(machine) else {
+            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            return Err(SxdError::UnknownMachine { machine: machine.into() });
+        };
+        let key = cache_key(&suite, &model, &params);
+        Ok(Submit {
+            demand: entry.demand,
+            runner: Arc::clone(&entry.runner),
+            suite,
+            params,
+            model,
+            key,
+        })
+    }
+
+    /// The inline hit probe: `Some` only for a clean cache hit, under the
+    /// same `inflight` -> `cache` pair as [`Daemon::submit`]. A miss leaves
+    /// no trace, not even a counted cache miss (the dispatcher counts it).
+    /// There is no pre-count into `queued`: the hit retires in one counters
+    /// critical section (`accepted`, `done`, `fastpath_hits` and the `job`
+    /// observation together), so `accepted == done + rejected + queued +
+    /// running` holds at every instant on this path too.
+    fn serve_hit(&self, submit: &Submit, t_job: Instant) -> Option<String> {
         let payload = {
             let _inflight = plock_named(&self.inflight, "sxd.inflight");
-            plock_named(&self.cache, "sxd.cache").probe(key)?
+            plock_named(&self.cache, "sxd.cache").probe(submit.key)?
         };
         {
             let mut c = plock_named(&self.counters, "sxd.counters");
@@ -709,7 +730,7 @@ impl Daemon {
             c.fastpath_hits += 1;
             self.metrics.job.observe(t_job.elapsed().as_secs_f64());
         }
-        Some(submit_reply(true, key, &payload))
+        Some(submit_reply(true, submit.key, &payload))
     }
 
     /// Absorb an already-rendered result under its content address — the
@@ -719,54 +740,19 @@ impl Daemon {
     /// original member's exact bytes. Refused while draining: a handed-off
     /// entry would be lost when this member's own journal moves on.
     fn handle_put(&self, key: u64, payload: &str) -> Result<String, SxdError> {
-        if self.shutting_down.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
-            return Err(SxdError::ShuttingDown);
-        }
+        self.admitting()?;
         plock_named(&self.cache, "sxd.cache").insert(key, payload.to_string());
         self.persist_result(key, payload);
         plock_named(&self.counters, "sxd.counters").absorbed += 1;
         Ok(format!("{{\"ok\":true,\"absorbed\":true,\"key\":\"{key:016x}\"}}"))
     }
 
-    fn handle_submit(
-        &self,
-        suite: &str,
-        machine: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<String, SxdError> {
-        self.submit_inner(suite, machine, params, None)
-    }
-
-    /// One submission, end to end. `solo_override` replaces the suite's
-    /// registered solo seconds — the re-admission path uses it to run only
-    /// the work a checkpointed job had left.
-    fn submit_inner(
-        &self,
-        suite: &str,
-        machine: &str,
-        params: &BTreeMap<String, String>,
-        solo_override: Option<f64>,
-    ) -> Result<String, SxdError> {
+    /// One resolved submission, end to end. `solo_override` replaces the
+    /// suite's registered solo seconds — the re-admission path uses it to
+    /// run only the work a checkpointed job had left.
+    fn submit(&self, s: Submit, solo_override: Option<f64>) -> Result<String, SxdError> {
         let t_job = Instant::now();
-        if self.shutting_down.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
-            return Err(SxdError::ShuttingDown);
-        }
-        let entry = match self.registry.get(suite) {
-            Some(e) => e,
-            None => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                return Err(SxdError::UnknownSuite { suite: suite.into() });
-            }
-        };
-        let model = match presets::by_name(machine) {
-            Some(m) => m,
-            None => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                return Err(SxdError::UnknownMachine { machine: machine.into() });
-            }
-        };
-        let key = cache_key(suite, &model, params);
-
+        let key = s.key;
         {
             let mut c = plock_named(&self.counters, "sxd.counters");
             c.accepted += 1;
@@ -821,8 +807,7 @@ impl Daemon {
                 outcome.map(|payload| submit_reply(true, key, &payload))
             }
             SubmitPath::Leader(slot) => {
-                let outcome =
-                    self.run_as_leader(suite, entry, &model, params, key, t_job, solo_override);
+                let outcome = self.run_as_leader(&s, t_job, solo_override);
                 // Retire the slot (the cache was populated first on
                 // success) and publish so followers wake with the result.
                 plock_named(&self.inflight, "sxd.inflight").remove(&key);
@@ -839,25 +824,20 @@ impl Daemon {
     /// without running) or while it is running (its result is discarded —
     /// the persisted restart spec owns the work now, and completing both
     /// would double-count it on the next boot).
-    #[allow(clippy::too_many_arguments)]
     fn run_as_leader(
         &self,
-        suite: &str,
-        entry: &JobEntry,
-        model: &MachineModel,
-        params: &BTreeMap<String, String>,
-        key: u64,
+        s: &Submit,
         t_job: Instant,
         solo_override: Option<f64>,
     ) -> Result<String, SxdError> {
-        let demand = Demand {
-            solo_seconds: solo_override.unwrap_or(entry.demand.solo_seconds),
-            ..entry.demand
-        };
+        let Submit { suite, params, model, key, demand, runner } = s;
+        let key = *key;
+        let demand =
+            Demand { solo_seconds: solo_override.unwrap_or(demand.solo_seconds), ..*demand };
         plock_named(&self.pending, "sxd.pending").insert(
             key,
             PendingJob {
-                suite: suite.to_string(),
+                suite: suite.clone(),
                 machine: model.name.clone(),
                 params: params.clone(),
                 demand,
@@ -930,7 +910,7 @@ impl Daemon {
             c.running += 1;
         }
 
-        let runner = entry.runner.clone();
+        let runner = Arc::clone(runner);
         let run_params = params.clone();
         let run_model = model.clone();
         let t_run = Instant::now();
@@ -1322,6 +1302,38 @@ mod tests {
         r
     }
 
+    /// One submit the way a dispatcher serves it: resolve, then submit.
+    fn submit(
+        d: &Daemon,
+        suite: &str,
+        machine: &str,
+        params: &BTreeMap<String, String>,
+    ) -> Result<String, SxdError> {
+        d.resolve_submit(suite.into(), machine, params.clone()).and_then(|s| d.submit(s, None))
+    }
+
+    fn service(d: &Arc<Daemon>) -> DaemonService {
+        DaemonService { daemon: Arc::clone(d) }
+    }
+
+    /// The reply `classify` answers inline, or `None` when it dispatches
+    /// (the job is dropped unrun).
+    fn inline(d: &Arc<Daemon>, frame: &str) -> Option<String> {
+        match service(d).classify(&(), frame.into()) {
+            Classified::Inline(reply) => Some(reply.line),
+            Classified::Dispatch(_) => None,
+        }
+    }
+
+    /// A frame served end to end: classified, then run if dispatched.
+    fn serve(d: &Arc<Daemon>, frame: &str) -> String {
+        let svc = service(d);
+        match svc.classify(&(), frame.into()) {
+            Classified::Inline(reply) => reply.line,
+            Classified::Dispatch(job) => svc.run(&(), job).line,
+        }
+    }
+
     fn metrics_doc(d: &Daemon) -> Json {
         let reply = d.metrics_reply();
         let doc = Json::parse(&reply).expect("metrics reply must be valid JSON");
@@ -1345,8 +1357,8 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let params = BTreeMap::new();
-        let first = d.handle_submit("toy", "sx4", &params).unwrap();
-        let second = d.handle_submit("TOY", "sx4-9.2", &params).unwrap();
+        let first = submit(d, "toy", "sx4", &params).unwrap();
+        let second = submit(d, "TOY", "sx4-9.2", &params).unwrap();
         assert!(first.contains("\"cached\":false"));
         assert!(second.contains("\"cached\":true"));
         // Byte-identical modulo the cached flag.
@@ -1365,17 +1377,17 @@ mod tests {
         let frame = "{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"sx4\"}";
         // Cold: the fast path must decline the miss and leave no trace —
         // not even a counted cache miss (the dispatcher counts it).
-        assert!(d.fast_frame(frame).is_none());
+        assert!(inline(d, frame).is_none());
         {
             let c = plock(&d.counters);
             assert_eq!((c.accepted, c.fastpath_hits), (0, 0));
         }
         assert_eq!(plock(&d.cache).misses(), 0, "a declined probe must be invisible");
         // Warm the cache through the full path.
-        let slow = d.handle_frame(frame);
+        let slow = serve(d, frame);
         assert!(slow.contains("\"cached\":false"), "{slow}");
         // Hot: the fast path serves byte-identical output inline.
-        let fast = d.fast_frame(frame).expect("warm submit must fast-path");
+        let fast = inline(d, frame).expect("warm submit must fast-path");
         assert_eq!(fast, slow.replace("\"cached\":false", "\"cached\":true"));
         {
             let c = plock(&d.counters);
@@ -1384,22 +1396,22 @@ mod tests {
         }
         // Stats, parse errors and cluster verbs answer inline; run-bound
         // and stateful verbs do not.
-        assert!(d.fast_frame("{\"op\":\"stats\"}").is_some());
-        assert!(d.fast_frame("not json").is_some());
-        assert!(d.fast_frame("{\"op\":\"route\",\"suite\":\"toy\",\"machine\":\"sx4\"}").is_some());
-        assert!(d.fast_frame("{\"op\":\"metrics\"}").is_none());
-        assert!(d.fast_frame("{\"op\":\"shutdown\"}").is_none());
-        assert!(d.fast_frame("{\"op\":\"drain\"}").is_none());
+        assert!(inline(d, "{\"op\":\"stats\"}").is_some());
+        assert!(inline(d, "not json").is_some());
+        assert!(inline(d, "{\"op\":\"route\",\"suite\":\"toy\",\"machine\":\"sx4\"}").is_some());
+        assert!(inline(d, "{\"op\":\"metrics\"}").is_none());
+        assert!(inline(d, "{\"op\":\"shutdown\"}").is_none());
+        assert!(inline(d, "{\"op\":\"drain\"}").is_none());
         let m = metrics_doc(d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));
         let stats = m.get("stats").unwrap();
         assert_eq!(stats.get("fastpath_hits").unwrap().as_u64(), Some(4));
         assert_eq!(stats.get("bad_requests").unwrap().as_u64(), Some(2));
-        // `frame_parse` counted each answered frame exactly once: one warm
-        // dispatch + four inline answers (the cold decline re-parses in
-        // the dispatcher, which in this test never saw it).
+        // `frame_parse` counted every classified frame exactly once, the
+        // declined ones included: the cold decline, the warm dispatch,
+        // the inline hit, three more inline answers and three declines.
         let parse = m.get("latency").unwrap().get("frame_parse").unwrap();
-        assert_eq!(parse.get("count").unwrap().as_u64(), Some(5));
+        assert_eq!(parse.get("count").unwrap().as_u64(), Some(9));
     }
 
     #[test]
@@ -1408,10 +1420,31 @@ mod tests {
         let server = Server::bind(toy_registry(), config).unwrap();
         let d = &server.daemon;
         let frame = "{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"sx4\"}";
-        let _ = d.handle_frame(frame);
-        assert!(d.fast_frame(frame).is_none(), "warm hit must still dispatch");
-        assert!(d.fast_frame("{\"op\":\"stats\"}").is_none());
+        let _ = serve(d, frame);
+        assert!(inline(d, frame).is_none(), "warm hit must still dispatch");
+        assert!(inline(d, "{\"op\":\"stats\"}").is_none());
         assert_eq!(plock(&d.counters).fastpath_hits, 0);
+    }
+
+    #[test]
+    fn submit_resolution_errors_answer_inline_byte_identical_to_dispatch() {
+        let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
+        let d = &server.daemon;
+        let off = ServerConfig { fastpath: false, ..ServerConfig::default() };
+        let slow_server = Server::bind(toy_registry(), off).unwrap();
+        for frame in [
+            "{\"op\":\"submit\",\"suite\":\"nope\",\"machine\":\"sx4\"}",
+            "{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"cray-2\"}",
+        ] {
+            let fast = inline(d, frame).expect("a typed resolution error answers inline");
+            assert_eq!(fast, serve(&slow_server.daemon, frame));
+        }
+        d.draining.store(true, Ordering::SeqCst);
+        let refused = inline(d, "{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"sx4\"}")
+            .expect("a draining daemon refuses submits inline");
+        assert_eq!(refused, SxdError::ShuttingDown.to_reply());
+        let c = plock(&d.counters);
+        assert_eq!((c.accepted, c.bad_requests, c.fastpath_hits), (0, 2, 3));
     }
 
     #[test]
@@ -1419,9 +1452,9 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let params = BTreeMap::new();
-        let e1 = d.handle_submit("nope", "sx4", &params).unwrap_err();
+        let e1 = submit(d, "nope", "sx4", &params).unwrap_err();
         assert_eq!(e1.kind(), "unknown_suite");
-        let e2 = d.handle_submit("toy", "cray-2", &params).unwrap_err();
+        let e2 = submit(d, "toy", "cray-2", &params).unwrap_err();
         assert_eq!(e2.kind(), "unknown_machine");
         let c = plock(&d.counters);
         assert_eq!(c.accepted, 0);
@@ -1446,7 +1479,7 @@ mod tests {
         );
         let server = Server::bind(r, ServerConfig::default()).unwrap();
         let d = &server.daemon;
-        let err = d.handle_submit("wide", "sx4", &BTreeMap::new()).unwrap_err();
+        let err = submit(d, "wide", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "rejected");
         let c = plock(&d.counters);
         assert_eq!((c.accepted, c.rejected, c.done, c.queued, c.running), (1, 1, 0, 0, 0));
@@ -1464,7 +1497,7 @@ mod tests {
             ),
         );
         let server = Server::bind(r, ServerConfig::default()).unwrap();
-        let err = server.daemon.handle_submit("boom", "sx4", &BTreeMap::new()).unwrap_err();
+        let err = submit(&server.daemon, "boom", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "run_failed");
         let c = plock(&server.daemon.counters);
         assert_eq!((c.accepted, c.rejected, c.running), (1, 1, 0));
@@ -1493,7 +1526,7 @@ mod tests {
             let handles: Vec<_> = (0..HERD)
                 .map(|_| {
                     let d = Arc::clone(&d);
-                    s.spawn(move || d.handle_submit("slow", "sx4", &BTreeMap::new()).unwrap())
+                    s.spawn(move || submit(&d, "slow", "sx4", &BTreeMap::new()).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1533,9 +1566,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let d = Arc::clone(&d);
-                    s.spawn(move || {
-                        d.handle_submit("failing", "sx4", &BTreeMap::new()).unwrap_err()
-                    })
+                    s.spawn(move || submit(&d, "failing", "sx4", &BTreeMap::new()).unwrap_err())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1549,7 +1580,7 @@ mod tests {
         assert_eq!(c.coalesced, 3);
         // Failures are not cached: a later submit runs again.
         drop(c);
-        let _ = d.handle_submit("failing", "sx4", &BTreeMap::new()).unwrap_err();
+        let _ = submit(&d, "failing", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(runs.load(Ordering::SeqCst), 2);
     }
 
@@ -1593,11 +1624,11 @@ mod tests {
 
         let hog = {
             let d = Arc::clone(&d);
-            std::thread::spawn(move || d.handle_submit("hog", "sx4", &BTreeMap::new()))
+            std::thread::spawn(move || submit(&d, "hog", "sx4", &BTreeMap::new()))
         };
         // Let the hog take the node before the second job arrives.
         std::thread::sleep(Duration::from_millis(60));
-        let err = d.handle_submit("wants-in", "sx4", &BTreeMap::new()).unwrap_err();
+        let err = submit(&d, "wants-in", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "rejected");
         assert!(err.detail().contains("admission wait exceeded"), "{err}");
         {
@@ -1618,7 +1649,7 @@ mod tests {
     fn stats_stay_serviceable_after_a_panic_poisons_the_counters() {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = Arc::clone(&server.daemon);
-        d.handle_submit("toy", "sx4", &BTreeMap::new()).unwrap();
+        submit(&d, "toy", "sx4", &BTreeMap::new()).unwrap();
         // Poison the counters mutex the way a bug would: panic mid-section.
         {
             let d = Arc::clone(&d);
@@ -1634,7 +1665,7 @@ mod tests {
         assert!(stats.contains("\"accepted\":1"), "{stats}");
         let m = metrics_doc(&d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));
-        let reply = d.handle_submit("toy", "sx4", &BTreeMap::new()).unwrap();
+        let reply = submit(&d, "toy", "sx4", &BTreeMap::new()).unwrap();
         assert!(reply.contains("\"cached\":true"));
     }
 
@@ -1643,11 +1674,11 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let mut p = BTreeMap::new();
-        d.handle_submit("toy", "sx4", &p).unwrap(); // miss -> run
-        d.handle_submit("toy", "sx4", &p).unwrap(); // hit
+        submit(d, "toy", "sx4", &p).unwrap(); // miss -> run
+        submit(d, "toy", "sx4", &p).unwrap(); // hit
         p.insert("n".into(), "2".into());
-        d.handle_submit("toy", "sx4", &p).unwrap(); // second distinct run
-        let _ = d.handle_submit("missing", "sx4", &p).unwrap_err(); // not accepted
+        submit(d, "toy", "sx4", &p).unwrap(); // second distinct run
+        let _ = submit(d, "missing", "sx4", &p).unwrap_err(); // not accepted
 
         let m = metrics_doc(d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,6 +35,17 @@ fn spawn_daemon(config: ServerConfig) -> (String, JoinHandle<()>) {
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("daemon run"));
     (addr, handle)
+}
+
+/// The thread-count and fd-count probes read the whole test process, so
+/// a test measuring them must not share the process with another test's
+/// daemon threads, client threads or sockets. Every test here holds this
+/// lock for its whole run; the probes' bounds stay as tight as if each
+/// test ran alone.
+static PROCESS: Mutex<()> = Mutex::new(());
+
+fn own_process() -> MutexGuard<'static, ()> {
+    PROCESS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `Threads:` from /proc/self/status — the whole test process, daemon
@@ -80,6 +91,7 @@ fn await_quiescent(client: &mut Client, deadline: Duration) -> Json {
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_churn_leaves_no_accumulated_threads_or_handles() {
+    let _process = own_process();
     let (addr, handle) = spawn_daemon(ServerConfig::default());
     let params = BTreeMap::new();
 
@@ -127,6 +139,7 @@ fn connection_churn_leaves_no_accumulated_threads_or_handles() {
 /// job counters reconciled.
 #[test]
 fn silent_and_slowloris_connections_are_idle_closed() {
+    let _process = own_process();
     let (addr, handle) = spawn_daemon(ServerConfig {
         idle_timeout: Some(Duration::from_millis(150)),
         ..ServerConfig::default()
@@ -163,6 +176,7 @@ fn silent_and_slowloris_connections_are_idle_closed() {
 /// and the listener must refuse new connections afterwards.
 #[test]
 fn shutdown_with_zero_inflight_clients_completes_within_deadline() {
+    let _process = own_process();
     let (addr, handle) = spawn_daemon(ServerConfig::default());
 
     Client::connect(&addr).unwrap().shutdown().unwrap();
@@ -183,6 +197,7 @@ fn shutdown_with_zero_inflight_clients_completes_within_deadline() {
 #[cfg(target_os = "linux")]
 #[test]
 fn flood_at_1000_connections_returns_fd_count_to_baseline() {
+    let _process = own_process();
     let (addr, handle) = spawn_daemon(ServerConfig::default());
     Client::connect(&addr).unwrap().submit("radabs", "sx4-9.2", &BTreeMap::new()).unwrap();
     let baseline = fd_count();
