@@ -20,6 +20,10 @@ cargo test --offline -q -p sxcheck -p ncar-bench --features sxcheck/audit,ncar-b
 echo "==> perfbench tests (the benchmark is its own workspace, built against sxd and the simulator)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench serve_hot smoke (exit 0: every hit reply byte-identical, METRICS reconciled)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_hot --seed 7 --seconds 2 --trace 0
+
 echo "==> reactor unit + lifecycle regressions (decoder parity, timer wheel, conn churn, fd hygiene)"
 cargo test --offline -q -p ncar-suite reactor
 cargo test --offline -q -p sxd --test reactor_lifecycle

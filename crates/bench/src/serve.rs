@@ -647,3 +647,44 @@ pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> i32 {
         Err(e) => fail(&e.to_string()),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The exact bytes of a `table3` cache hit, recorded before the cache
+    /// stored rendered hit lines and the reactor shared them. Any change to
+    /// the key, the payload rendering or the hit line shows here.
+    const TABLE3_HIT: &str = concat!(
+        r#"{"ok":true,"cached":true,"key":"17f567575b34d848","result":{"suite":"table3","#,
+        r#""machine":"NEC SX-4/32 (9.2ns)","params":{"ensemble":"golden"},"#,
+        r#""sim_seconds":30.00000228881836,"stretch":1.0000000762939454,"artifacts":[{"#,
+        r#""kind":"table","title":"Table 3: single-processor 64-bit intrinsic throughput "#,
+        r#"(millions of calls/second), SX-4/1","headers":["Function","Mcalls/s"],"rows":["#,
+        r#"["EXP","45.0"],["LOG","41.5"],["PWR","21.7"],["SIN","38.6"],["SQRT","67.2"]]}],"#,
+        r#""rendered":"Table 3: single-processor 64-bit intrinsic throughput "#,
+        r#"(millions of calls/second), SX-4/1\n| Function | Mcalls/s |\n"#,
+        r#"|----------|----------|\n|      EXP |     45.0 |\n|      LOG |     41.5 |\n"#,
+        r#"|      PWR |     21.7 |\n|      SIN |     38.6 |\n|     SQRT |     67.2 |\n"}}"#,
+    );
+
+    #[test]
+    fn table3_hit_reply_bytes_are_pinned() {
+        let experiments: [Experiment; 1] =
+            [("table3", "ELEFUNT intrinsic throughput, SX-4/1", crate::exp_kernels::table3)];
+        let server = Server::bind(registry(&experiments), ServerConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let daemon = std::thread::spawn(move || server.run());
+        let mut c = Client::connect(&addr).unwrap();
+        let frame = r#"{"op":"submit","suite":"table3","machine":"sx4-9.2","params":{"ensemble":"golden"}}"#;
+        let first = c.raw(frame).unwrap();
+        assert_eq!(first, TABLE3_HIT.replace("\"cached\":true", "\"cached\":false"));
+        // Dispatched miss above; the inline hit now, then again through
+        // another spelling of the same suite and machine.
+        assert_eq!(c.raw(frame).unwrap(), TABLE3_HIT);
+        let aliased = frame.replace("\"table3\"", "\"TABLE3\"").replace("sx4-9.2", "SX4");
+        assert_eq!(c.raw(&aliased).unwrap(), TABLE3_HIT);
+        c.shutdown().unwrap();
+        daemon.join().unwrap().unwrap();
+    }
+}

@@ -48,7 +48,7 @@ impl Json {
     /// Parse one complete JSON document (trailing whitespace allowed,
     /// trailing junk rejected). Never panics.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { b: text.as_bytes(), pos: 0 };
+        let mut p = Parser { s: text, b: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -162,6 +162,9 @@ impl std::fmt::Display for Json {
 }
 
 struct Parser<'a> {
+    s: &'a str,
+    /// `s.as_bytes()`: the scanner works on bytes, strings are sliced
+    /// out of `s`.
     b: &'a [u8],
     pos: usize,
 }
@@ -251,9 +254,18 @@ impl<'a> Parser<'a> {
     fn string(&mut self) -> Result<String, JsonError> {
         let opened = self.eat(b'"');
         debug_assert!(opened);
-        let mut out = String::new();
         let mut run = self.pos; // start of the current plain segment
+        self.scan_plain();
+        // The common case, a literal with no escapes: one copy, no
+        // incremental pushes.
+        if self.b.get(self.pos) == Some(&b'"') {
+            let out = self.segment(run)?.to_owned();
+            self.pos += 1;
+            return Ok(out);
+        }
+        let mut out = String::new();
         loop {
+            self.scan_plain();
             match self.b.get(self.pos) {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -311,16 +323,28 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     run = self.pos;
                 }
-                Some(c) if *c < 0x20 => return Err(self.err("control byte in string")),
-                Some(_) => self.pos += 1,
+                // `scan_plain` stops only at '"', '\\' or a control byte.
+                Some(_) => return Err(self.err("control byte in string")),
             }
         }
     }
 
-    /// The plain (escape-free) bytes `run..self.pos` of a string literal.
+    /// Advance past plain string bytes: up to the next '"', '\\',
+    /// control byte or the end of the input.
+    fn scan_plain(&mut self) {
+        while let Some(&c) = self.b.get(self.pos) {
+            if c == b'"' || c == b'\\' || c < 0x20 {
+                return;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// The plain (escape-free) text `run..self.pos` of a string literal,
+    /// sliced from the input. Both ends sit next to ASCII delimiters, so
+    /// they are char boundaries and the slice never fails in practice.
     fn segment(&self, run: usize) -> Result<&'a str, JsonError> {
-        std::str::from_utf8(&self.b[run..self.pos])
-            .map_err(|_| JsonError { pos: run, detail: "invalid UTF-8 in string" })
+        self.s.get(run..self.pos).ok_or(JsonError { pos: run, detail: "invalid UTF-8 in string" })
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {

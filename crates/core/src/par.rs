@@ -185,6 +185,17 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawn `threads` workers (at least one).
     pub fn new(threads: usize) -> WorkerPool {
+        WorkerPool::spawn(threads, None)
+    }
+
+    /// [`WorkerPool::new`] with the workers named `<name>-0`,
+    /// `<name>-1`, … (what `/proc/<pid>/task/*/comm` shows), so a process
+    /// listing tells whose threads they are.
+    pub fn named(threads: usize, name: &str) -> WorkerPool {
+        WorkerPool::spawn(threads, Some(name))
+    }
+
+    fn spawn(threads: usize, name: Option<&str>) -> WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue { jobs: VecDeque::new(), shutting_down: false }),
@@ -192,9 +203,13 @@ impl WorkerPool {
             busy: AtomicUsize::new(0),
         });
         let handles = (0..threads)
-            .map(|_| {
+            .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
+                let mut builder = std::thread::Builder::new();
+                if let Some(name) = name {
+                    builder = builder.name(format!("{name}-{i}"));
+                }
+                let work = move || loop {
                     let job = {
                         let mut q = plock(&shared.queue);
                         loop {
@@ -223,7 +238,9 @@ impl WorkerPool {
                         }
                         None => break,
                     }
-                })
+                };
+                // Same failure mode as `std::thread::spawn`.
+                builder.spawn(work).expect("failed to spawn a pool worker")
             })
             .collect();
         WorkerPool { shared, handles, threads }

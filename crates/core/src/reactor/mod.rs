@@ -41,12 +41,16 @@
 //!   assigned a sequence number like any frame) pins the close point:
 //!   earlier in-flight frames still answer in order, later ones are
 //!   dropped with the connection.
-//! - **Vectored flush**: released replies render into pooled buffers and
-//!   leave via `writev`-style vectored writes, so N pipelined replies
-//!   coalesce into one syscall. [`ReactorConfig::flush_batch`] can
-//!   observe the per-syscall batch size. Successful writes count as
-//!   activity for the idle wheel — a client slowly draining a large reply
-//!   while making progress is never idle-closed mid-flush.
+//! - **Vectored flush**: a reply line is a shared `Arc<str>` (a cache
+//!   hit's line is the very allocation the cache holds), so releasing it
+//!   queues a reference, not a copy, and there is no render buffer to
+//!   pool. Each queued reply leaves as two slices of a `writev`-style
+//!   vectored write — its line, then a static `"\n"` — so N pipelined
+//!   replies coalesce into one syscall and the newline is never appended
+//!   to a buffer. [`ReactorConfig::flush_batch`] can observe the replies
+//!   per syscall. Successful writes count as activity for the idle wheel
+//!   — a client slowly draining a large reply while making progress is
+//!   never idle-closed mid-flush.
 //!
 //! Shutdown is a first-class wake event: [`ReactorHandle::shutdown`]
 //! flips a flag and writes the self-pipe, the loop closes the listener
@@ -87,39 +91,36 @@ const TOK_BASE: u64 = 2;
 /// The kernel caps this at `net.core.somaxconn`.
 const BACKLOG: i32 = 4096;
 
-/// Most reply buffers a connection's flush will hand to one vectored
-/// write. Far below any platform IOV_MAX; past this, batching returns
-/// are flat anyway.
+/// Most replies a connection's flush will hand to one vectored write
+/// (two slices each: line and newline). Far below any platform IOV_MAX;
+/// past this, batching returns are flat anyway.
 const MAX_FLUSH_VEC: usize = 64;
-
-/// Render buffers are recycled through a reactor-owned freelist instead
-/// of reallocated per reply; oversized buffers (a giant rendered figure)
-/// are dropped rather than hoarded.
-const BUF_POOL_CAP: usize = 64;
-const BUF_POOL_MAX_CAPACITY: usize = 64 * 1024;
 
 /// What a [`Service`] wants sent back for one frame.
 #[derive(Debug, Clone)]
 pub struct Reply {
-    /// Reply line, written with a trailing newline. Empty means "send
-    /// nothing" (used with `close` when there is no meaningful reply,
-    /// e.g. after a handler panic).
-    pub line: String,
+    /// Reply line, written with a trailing newline. Shared, so a service
+    /// can hand the reactor bytes it keeps (a cached reply) without a
+    /// copy. Empty means "send nothing" (used with `close` when there is
+    /// no meaningful reply, e.g. after a handler panic).
+    pub line: Arc<str>,
     /// Close the connection once the reply is flushed.
     pub close: bool,
 }
 
-/// No reply, close the connection: what a panicking `classify` or `run`
-/// turns into.
-const PANICKED: Reply = Reply { line: String::new(), close: true };
-
 impl Reply {
-    pub fn send(line: String) -> Reply {
-        Reply { line, close: false }
+    pub fn send(line: impl Into<Arc<str>>) -> Reply {
+        Reply { line: line.into(), close: false }
     }
 
-    pub fn send_and_close(line: String) -> Reply {
-        Reply { line, close: true }
+    pub fn send_and_close(line: impl Into<Arc<str>>) -> Reply {
+        Reply { line: line.into(), close: true }
+    }
+
+    /// No reply, close the connection: what a panicking `classify` or
+    /// `run` turns into.
+    fn panicked() -> Reply {
+        Reply::send_and_close("")
     }
 }
 
@@ -148,6 +149,10 @@ pub trait Service: Send + Sync + 'static {
     /// A frame classified for the pool — typically its parsed request,
     /// so no frame is parsed twice.
     type Job: Send + 'static;
+
+    /// Prefix of the dispatcher threads' names: they are called
+    /// `<prefix>-dispatch-0`, `<prefix>-dispatch-1`, ….
+    const THREAD_PREFIX: &'static str = "reactor";
 
     /// A connection was accepted; build its per-connection state.
     fn open(&self, id: u64) -> Self::Conn;
@@ -284,10 +289,8 @@ struct Conn<C> {
     decoder: LineDecoder,
     /// Per-connection service state, shared with every in-flight handler.
     sconn: Arc<C>,
-    /// Rendered replies awaiting the socket, oldest first; the front
-    /// buffer's first `outpos` bytes are already written.
-    out: VecDeque<Vec<u8>>,
-    outpos: usize,
+    /// Released replies awaiting the socket.
+    out: OutQueue,
     /// Sequence number the next consumed frame will get.
     next_seq: u64,
     /// Sequence number of the next reply to release into `out`; frames
@@ -324,6 +327,83 @@ struct Completion {
     reply: Reply,
 }
 
+/// A connection's released replies, oldest first. Each reply goes out as
+/// its line followed by `"\n"`; the front reply's first `pos` bytes of
+/// that pair are already written.
+#[derive(Default)]
+struct OutQueue {
+    replies: VecDeque<Arc<str>>,
+    pos: usize,
+}
+
+/// How far [`OutQueue::flush`] got.
+enum Flushed {
+    /// The queue is empty.
+    Clean,
+    /// The writer would block; the rest waits for write readiness.
+    Blocked,
+    /// The writer failed or accepted nothing; the connection is dead.
+    Broken,
+}
+
+impl OutQueue {
+    /// Write replies until the queue empties or `w` stops accepting,
+    /// handing at most [`MAX_FLUSH_VEC`] replies to each vectored write
+    /// and observing that reply count in `batch`. Also returns whether
+    /// any byte was written.
+    fn flush(&mut self, w: &mut impl Write, batch: Option<&Histogram>) -> (Flushed, bool) {
+        const NEWLINE: &[u8] = b"\n";
+        let mut wrote = false;
+        loop {
+            let Some(front) = self.replies.front() else {
+                self.pos = 0;
+                return (Flushed::Clean, wrote);
+            };
+            // `pos <= front.len()`: a reply leaves the queue as soon as its
+            // newline is written, so the front's newline is always unsent
+            // (its line slice may be empty).
+            let mut slices = [IoSlice::new(&[]); 2 * MAX_FLUSH_VEC];
+            slices[0] = IoSlice::new(&front.as_bytes()[self.pos..]);
+            slices[1] = IoSlice::new(NEWLINE);
+            let replies = self.replies.len().min(MAX_FLUSH_VEC);
+            for (i, line) in self.replies.iter().enumerate().take(replies).skip(1) {
+                slices[2 * i] = IoSlice::new(line.as_bytes());
+                slices[2 * i + 1] = IoSlice::new(NEWLINE);
+            }
+            match w.write_vectored(&slices[..2 * replies]) {
+                Ok(0) => return (Flushed::Broken, wrote),
+                Ok(n) => {
+                    wrote = true;
+                    if let Some(h) = batch {
+                        h.observe(replies as f64);
+                    }
+                    self.consume(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return (Flushed::Blocked, wrote)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return (Flushed::Broken, wrote),
+            }
+        }
+    }
+
+    /// Retire `n` written bytes from the front of the queue.
+    fn consume(&mut self, mut n: usize) {
+        while n > 0 {
+            let Some(front) = self.replies.front() else { return };
+            let rem = front.len() + 1 - self.pos;
+            if n < rem {
+                self.pos += n;
+                return;
+            }
+            n -= rem;
+            self.pos = 0;
+            self.replies.pop_front();
+        }
+    }
+}
+
 /// What the frame pump decided while the connection was borrowed.
 enum Step {
     Frame(String),
@@ -349,8 +429,6 @@ pub struct Reactor<S: Service> {
     rx: Receiver<Completion>,
     winding_down: bool,
     flush_deadline: Option<Instant>,
-    /// Cleared render buffers awaiting reuse.
-    buf_pool: Vec<Vec<u8>>,
 }
 
 impl<S: Service> Reactor<S> {
@@ -382,7 +460,6 @@ impl<S: Service> Reactor<S> {
             rx,
             winding_down: false,
             flush_deadline: None,
-            buf_pool: Vec::new(),
         })
     }
 
@@ -395,7 +472,10 @@ impl<S: Service> Reactor<S> {
     /// dispatched frame has either flushed its reply or overstayed the
     /// flush grace window.
     pub fn run(mut self) -> io::Result<()> {
-        let pool = WorkerPool::new(self.config.dispatchers.max(1));
+        let pool = WorkerPool::named(
+            self.config.dispatchers.max(1),
+            &format!("{}-dispatch", S::THREAD_PREFIX),
+        );
         let mut events: Vec<Event> = Vec::new();
         loop {
             while let Ok(done) = self.rx.try_recv() {
@@ -474,7 +554,7 @@ impl<S: Service> Reactor<S> {
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.in_flight() == 0 && c.out.is_empty())
+            .filter(|(_, c)| c.in_flight() == 0 && c.out.replies.is_empty())
             .map(|(&id, _)| id)
             .collect();
         for id in idle {
@@ -490,7 +570,10 @@ impl<S: Service> Reactor<S> {
             };
             match res {
                 Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    // Replies are whole lines written at once: Nagle would
+                    // hold one back until the peer ACKs the previous one,
+                    // up to its delayed-ACK timeout.
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
                     let id = self.next_id;
@@ -508,8 +591,7 @@ impl<S: Service> Reactor<S> {
                             stream,
                             decoder: LineDecoder::new(self.config.max_frame),
                             sconn,
-                            out: VecDeque::new(),
-                            outpos: 0,
+                            out: OutQueue::default(),
                             next_seq: 0,
                             next_reply: 0,
                             pending: BTreeMap::new(),
@@ -649,7 +731,7 @@ impl<S: Service> Reactor<S> {
                         let class = catch_unwind(AssertUnwindSafe(|| {
                             self.service.classify(&conn.sconn, frame)
                         }))
-                        .unwrap_or_else(|_| Classified::Inline(PANICKED));
+                        .unwrap_or_else(|_| Classified::Inline(Reply::panicked()));
                         (seq, class)
                     };
                     match class {
@@ -678,16 +760,13 @@ impl<S: Service> Reactor<S> {
     }
 
     /// Move consecutively-sequenced replies from the reorder buffer into
-    /// rendered output buffers. Returns false if the connection is gone.
+    /// the output queue. Returns false if the connection is gone.
     fn release_ready(&mut self, token: u64) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else { return false };
         while conn.close_at.is_none() {
             let Some(reply) = conn.pending.remove(&conn.next_reply) else { break };
             if !reply.line.is_empty() {
-                let mut buf = self.buf_pool.pop().unwrap_or_default();
-                buf.extend_from_slice(reply.line.as_bytes());
-                buf.push(b'\n');
-                conn.out.push_back(buf);
+                conn.out.replies.push_back(reply.line);
             }
             if reply.close {
                 conn.close_at = Some(conn.next_reply);
@@ -712,7 +791,7 @@ impl<S: Service> Reactor<S> {
         let max_frame = self.config.max_frame;
         let decision = {
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            let drained = conn.out.is_empty();
+            let drained = conn.out.replies.is_empty();
             let quiescent = conn.in_flight() == 0;
             let closing = conn.close_at.is_some_and(|c| conn.next_reply > c);
             if drained && (closing || (quiescent && (conn.input_done || self.winding_down))) {
@@ -752,8 +831,8 @@ impl<S: Service> Reactor<S> {
             // loop or strand the connection: turn it into "no reply,
             // close". The daemon's own panic accounting happens inside
             // `run` (its job runner has its own catch_unwind).
-            let reply =
-                catch_unwind(AssertUnwindSafe(|| service.run(&sconn, job))).unwrap_or(PANICKED);
+            let reply = catch_unwind(AssertUnwindSafe(|| service.run(&sconn, job)))
+                .unwrap_or_else(|_| Reply::panicked());
             let _ = tx.send(Completion { id: token, seq, reply });
             wake.wake();
         });
@@ -770,68 +849,21 @@ impl<S: Service> Reactor<S> {
         self.advance(id, pool);
     }
 
-    /// Write as much of the output queue as the socket accepts, handing
-    /// up to [`MAX_FLUSH_VEC`] reply buffers to each vectored write.
-    /// Returns false when the connection broke (and was closed) or does
-    /// not exist. Successful writes refresh `last_activity`, so the idle
-    /// wheel never closes a peer that is draining a large reply slowly
-    /// but steadily.
+    /// Write as much of the output queue as the socket accepts (see
+    /// [`OutQueue::flush`]). Returns false when the connection broke (and
+    /// was closed) or does not exist. Successful writes refresh
+    /// `last_activity`, so the idle wheel never closes a peer that is
+    /// draining a large reply slowly but steadily.
     fn flush_conn(&mut self, token: u64) -> bool {
-        enum Outcome {
-            Clean,
-            Blocked,
-            Broken,
+        let Some(conn) = self.conns.get_mut(&token) else { return false };
+        let (flushed, wrote) =
+            conn.out.flush(&mut &conn.stream, self.config.flush_batch.as_deref());
+        if wrote {
+            conn.last_activity = Instant::now();
         }
-        let outcome = {
-            let Some(conn) = self.conns.get_mut(&token) else { return false };
-            loop {
-                if conn.out.is_empty() {
-                    conn.outpos = 0;
-                    break Outcome::Clean;
-                }
-                let mut slices: Vec<IoSlice<'_>> =
-                    Vec::with_capacity(conn.out.len().min(MAX_FLUSH_VEC));
-                let mut iter = conn.out.iter();
-                if let Some(front) = iter.next() {
-                    slices.push(IoSlice::new(&front[conn.outpos..]));
-                }
-                for buf in iter.take(MAX_FLUSH_VEC - 1) {
-                    slices.push(IoSlice::new(buf));
-                }
-                match (&conn.stream).write_vectored(&slices) {
-                    Ok(0) => break Outcome::Broken,
-                    Ok(mut n) => {
-                        if let Some(h) = &self.config.flush_batch {
-                            h.observe(slices.len() as f64);
-                        }
-                        drop(slices);
-                        conn.last_activity = Instant::now();
-                        while n > 0 {
-                            let rem = conn.out[0].len() - conn.outpos;
-                            if n < rem {
-                                conn.outpos += n;
-                                break;
-                            }
-                            n -= rem;
-                            conn.outpos = 0;
-                            let mut buf = conn.out.pop_front().expect("front buffer exists");
-                            if self.buf_pool.len() < BUF_POOL_CAP
-                                && buf.capacity() <= BUF_POOL_MAX_CAPACITY
-                            {
-                                buf.clear();
-                                self.buf_pool.push(buf);
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Outcome::Blocked,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break Outcome::Broken,
-                }
-            }
-        };
-        match outcome {
-            Outcome::Clean | Outcome::Blocked => true,
-            Outcome::Broken => {
+        match flushed {
+            Flushed::Clean | Flushed::Blocked => true,
+            Flushed::Broken => {
                 self.close_conn(token, false);
                 false
             }
@@ -960,7 +992,7 @@ mod tests {
 
         fn run(&self, conn: &u64, frame: String) -> Reply {
             match frame.as_str() {
-                "quit" => Reply::send_and_close("bye".into()),
+                "quit" => Reply::send_and_close("bye"),
                 "boom" => panic!("handler exploded (expected by test)"),
                 "big" => Reply::send("B".repeat(96 * 1024 * 1024)),
                 f => Reply::send(format!("echo[{conn}]:{f}")),
@@ -1275,6 +1307,95 @@ mod tests {
         assert_eq!(r.handle.frames(), 4, "inline frames count too");
         assert_eq!(fast_hits.load(Ordering::SeqCst), 2);
         finish(r);
+    }
+
+    /// A writer that never blocks twice in a row and otherwise accepts at
+    /// most its next scripted byte count — a socket forcing short writes.
+    struct Trickle {
+        got: Vec<u8>,
+        limits: Vec<usize>,
+        calls: usize,
+        block_next: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if std::mem::take(&mut self.block_next) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.block_next = true;
+            let mut room = self.limits.get(self.calls).copied().unwrap_or(usize::MAX);
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(room);
+                self.got.extend_from_slice(&b[..take]);
+                (n, room) = (n + take, room - take);
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Drive `queue` into `w` the way write readiness would, returning
+    /// the replies each successful write carried (from the histogram).
+    fn drain(queue: &mut OutQueue, w: &mut Trickle) -> Vec<u64> {
+        let hist = Histogram::new(&(1..=64).map(f64::from).collect::<Vec<_>>());
+        loop {
+            match queue.flush(w, Some(&hist)) {
+                (Flushed::Clean, _) => break,
+                (Flushed::Blocked, _) => continue,
+                (Flushed::Broken, _) => panic!("a trickling writer is not broken"),
+            }
+        }
+        let snap = hist.snapshot();
+        let mut per_write = Vec::new();
+        for (i, &n) in snap.buckets.iter().enumerate() {
+            per_write.extend(std::iter::repeat_n(i as u64 + 1, n as usize));
+        }
+        per_write
+    }
+
+    /// Short writes ending inside a line, exactly after its newline, and
+    /// exactly before it (so the next write starts with the bare `"\n"`
+    /// slice): the bytes and their order come through intact, and the
+    /// batch histogram counts replies per write, never slices.
+    #[test]
+    fn short_writes_split_lines_and_newlines_without_losing_bytes() {
+        let mut queue = OutQueue::default();
+        for line in ["alpha", "beta", "gamma"] {
+            queue.replies.push_back(Arc::from(line));
+        }
+        // 3 bytes: inside "alpha"; 3: ends on its "\n"; 4: ends before
+        // beta's "\n"; 1: that "\n" alone; then the rest.
+        let mut w =
+            Trickle { got: Vec::new(), limits: vec![3, 3, 4, 1], calls: 0, block_next: true };
+        let mut per_write = drain(&mut queue, &mut w);
+        assert_eq!(String::from_utf8(w.got).unwrap(), "alpha\nbeta\ngamma\n");
+        per_write.sort_unstable();
+        assert_eq!(per_write, vec![1, 2, 2, 3, 3], "replies queued at each of the five writes");
+        assert_eq!(queue.pos, 0);
+
+        // A long queue: each write carries at most MAX_FLUSH_VEC replies
+        // (2 * MAX_FLUSH_VEC slices), counted as replies.
+        let mut queue = OutQueue::default();
+        let lines: Vec<String> = (0..100).map(|i| format!("r{i}")).collect();
+        for line in &lines {
+            queue.replies.push_back(Arc::from(line.as_str()));
+        }
+        let mut w = Trickle { got: Vec::new(), limits: Vec::new(), calls: 0, block_next: false };
+        let mut per_write = drain(&mut queue, &mut w);
+        per_write.sort_unstable();
+        assert_eq!(per_write, vec![36, 64]);
+        let want: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        assert_eq!(String::from_utf8(w.got).unwrap(), want);
     }
 
     /// Write coalescing: a burst of inline replies leaves in far fewer

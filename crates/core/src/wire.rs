@@ -97,12 +97,9 @@ impl WireWriter {
     /// [`MAX_FIELD_BYTES`] are truncated at a char boundary — the codec is
     /// for short identifiers (suite names, parameter keys), not payloads.
     pub fn put_str(&mut self, s: &str) {
-        let mut end = s.len().min(MAX_FIELD_BYTES);
-        while !s.is_char_boundary(end) {
-            end -= 1;
-        }
-        self.put_u32(end as u32);
-        self.buf.extend_from_slice(&s.as_bytes()[..end]);
+        let field = str_field(s);
+        self.put_u32(field.len() as u32);
+        self.buf.extend_from_slice(field.as_bytes());
     }
 
     /// Append one checksummed record: `u32` byte count, the payload bytes,
@@ -131,6 +128,18 @@ impl WireWriter {
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
     }
+}
+
+/// The part of `s` that [`WireWriter::put_str`] encodes: all of it, or
+/// its longest prefix of at most [`MAX_FIELD_BYTES`] that ends on a char
+/// boundary. Streaming encoders (the `sxd` cache-key hasher) use it to
+/// produce exactly the bytes `put_str` would.
+pub fn str_field(s: &str) -> &str {
+    let mut end = s.len().min(MAX_FIELD_BYTES);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 /// Cursor over an encoded record.

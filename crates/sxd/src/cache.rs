@@ -1,8 +1,16 @@
 //! Content-addressed result cache with LRU eviction.
 //!
-//! Keys come from [`crate::proto::cache_key`]; values are the serialized
-//! result payloads, stored verbatim so that a hit replays the exact bytes
-//! of the run that populated it (the determinism tests rely on this).
+//! Keys come from [`crate::proto::cache_key`]. Each entry holds the
+//! rendered *hit line* — `submit_reply(true, key, payload)`, the exact
+//! reply a cache hit sends — as a shared `Arc<str>`, rendered once when
+//! the result is inserted. A hit ([`ResultCache::probe`] or
+//! [`ResultCache::get`]) is then a reference-count bump: the reactor
+//! queues that same `Arc` for the socket, so the payload is never copied
+//! between the cache and the wire. Payloads are stored verbatim inside
+//! the line, so a hit replays the exact bytes of the run that populated
+//! it (the determinism tests rely on this), and
+//! [`ResultCache::entries_lru`] recovers them with
+//! [`crate::proto::parse_submit_reply`].
 //!
 //! Recency is O(1) per operation: every touch stamps the entry with a
 //! fresh monotonic sequence number and appends `(seq, key)` to the order
@@ -13,15 +21,19 @@
 //! cost that used to be an O(n) `VecDeque` scan is now amortized constant.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+use crate::proto::{parse_submit_reply, submit_reply};
 
 #[derive(Debug)]
 struct Entry {
-    value: String,
+    /// The rendered hit line (see module docs).
+    line: Arc<str>,
     /// The sequence number of this entry's newest stamp in `order`.
     seq: u64,
 }
 
-/// Bounded map from run identity to its serialized result.
+/// Bounded map from run identity to its rendered hit reply.
 #[derive(Debug)]
 pub struct ResultCache {
     cap: usize,
@@ -50,20 +62,14 @@ impl ResultCache {
         }
     }
 
-    /// Look up a result, counting a hit or miss and refreshing recency.
-    pub fn get(&mut self, key: u64) -> Option<String> {
-        match self.map.get(&key) {
-            Some(e) => {
-                self.hits += 1;
-                let v = e.value.clone();
-                self.touch(key);
-                Some(v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    /// Look up a result's hit line, counting a hit or miss and refreshing
+    /// recency.
+    pub fn get(&mut self, key: u64) -> Option<Arc<str>> {
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
     }
 
     /// Fast-path lookup: counts a hit and refreshes recency when the key
@@ -71,33 +77,29 @@ impl ResultCache {
     /// absence. The reactor-thread fast path probes before deciding
     /// whether to dispatch; a declined probe falls through to the
     /// dispatcher, whose own `get` counts the miss exactly once.
-    pub fn probe(&mut self, key: u64) -> Option<String> {
-        match self.map.get(&key) {
-            Some(e) => {
-                self.hits += 1;
-                let v = e.value.clone();
-                self.touch(key);
-                Some(v)
-            }
-            None => None,
-        }
+    pub fn probe(&mut self, key: u64) -> Option<Arc<str>> {
+        let line = Arc::clone(&self.map.get(&key)?.line);
+        self.hits += 1;
+        self.touch(key);
+        Some(line)
     }
 
-    /// Insert (or refresh) a result, evicting the least-recently used
-    /// entry when full.
-    pub fn insert(&mut self, key: u64, value: String) {
+    /// Insert (or refresh) a result payload, rendering its hit line, and
+    /// evict the least-recently used entry when full.
+    pub fn insert(&mut self, key: u64, payload: impl AsRef<str>) {
         if self.cap == 0 {
             return;
         }
+        let line: Arc<str> = submit_reply(true, key, payload.as_ref()).into();
         match self.map.get_mut(&key) {
             Some(e) => {
-                e.value = value;
+                e.line = line;
                 self.touch(key);
                 return;
             }
             None => {
                 self.next_seq += 1;
-                self.map.insert(key, Entry { value, seq: self.next_seq });
+                self.map.insert(key, Entry { line, seq: self.next_seq });
                 self.order.push_back((self.next_seq, key));
             }
         }
@@ -161,15 +163,18 @@ impl ResultCache {
         self.cap
     }
 
-    /// Snapshot every live entry in LRU order (least recently used first).
-    /// This is the journal-compaction feed: replaying the snapshot
-    /// oldest-first through [`ResultCache::insert`] rebuilds the same
-    /// recency order, so eviction behaves identically across a restart.
+    /// Snapshot every live entry's payload in LRU order (least recently
+    /// used first). This is the journal-compaction feed: replaying the
+    /// snapshot oldest-first through [`ResultCache::insert`] rebuilds the
+    /// same recency order, so eviction behaves identically across a
+    /// restart.
     pub fn entries_lru(&self) -> Vec<(u64, String)> {
-        let mut v: Vec<(u64, u64, &String)> =
-            self.map.iter().map(|(k, e)| (e.seq, *k, &e.value)).collect();
+        let mut v: Vec<(u64, u64, &str)> =
+            self.map.iter().map(|(k, e)| (e.seq, *k, &*e.line)).collect();
         v.sort_unstable_by_key(|&(seq, _, _)| seq);
-        v.into_iter().map(|(_, k, val)| (k, val.clone())).collect()
+        v.into_iter()
+            .filter_map(|(_, k, line)| Some((k, parse_submit_reply(line)?.2.to_owned())))
+            .collect()
     }
 
     #[cfg(test)]
@@ -182,13 +187,29 @@ impl ResultCache {
 mod tests {
     use super::*;
 
+    /// The payload inside a hit line, as it went into `insert`.
+    fn payload(line: Option<Arc<str>>) -> Option<String> {
+        line.map(|l| parse_submit_reply(&l).expect("a rendered hit line").2.to_owned())
+    }
+
     #[test]
     fn hit_miss_accounting_and_verbatim_replay() {
         let mut c = ResultCache::new(4);
         assert_eq!(c.get(1), None);
-        c.insert(1, "{\"x\":1}".into());
-        assert_eq!(c.get(1).as_deref(), Some("{\"x\":1}"));
+        c.insert(1, "{\"x\":1}");
+        assert_eq!(payload(c.get(1)).as_deref(), Some("{\"x\":1}"));
         assert_eq!((c.hits(), c.misses()), (1, 1));
+    }
+
+    #[test]
+    fn hits_share_the_line_rendered_once_at_insert() {
+        let mut c = ResultCache::new(2);
+        c.insert(0xabc, "{\"x\":1}");
+        let a = c.probe(0xabc).unwrap();
+        let b = c.get(0xabc).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "a hit clones the Arc, not the bytes");
+        assert_eq!(&*a, submit_reply(true, 0xabc, "{\"x\":1}"));
+        assert_eq!(c.entries_lru(), vec![(0xabc, "{\"x\":1}".to_string())]);
     }
 
     #[test]
@@ -196,12 +217,12 @@ mod tests {
         let mut c = ResultCache::new(2);
         assert_eq!(c.probe(1), None);
         assert_eq!((c.hits(), c.misses()), (0, 0), "a declined probe is invisible");
-        c.insert(1, "a".into());
-        c.insert(2, "b".into());
-        assert_eq!(c.probe(1).as_deref(), Some("a"));
+        c.insert(1, "a");
+        c.insert(2, "b");
+        assert_eq!(payload(c.probe(1)).as_deref(), Some("a"));
         assert_eq!((c.hits(), c.misses()), (1, 0));
         // A probe refreshes recency exactly like `get`: 2 is now the LRU.
-        c.insert(3, "c".into());
+        c.insert(3, "c");
         assert!(c.probe(2).is_none());
         assert!(c.probe(1).is_some());
     }
@@ -209,10 +230,10 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut c = ResultCache::new(2);
-        c.insert(1, "a".into());
-        c.insert(2, "b".into());
+        c.insert(1, "a");
+        c.insert(2, "b");
         assert!(c.get(1).is_some()); // 1 is now MRU; 2 is LRU
-        c.insert(3, "c".into());
+        c.insert(3, "c");
         assert_eq!(c.len(), 2);
         assert!(c.get(2).is_none(), "LRU entry evicted");
         assert!(c.get(1).is_some());
@@ -223,19 +244,19 @@ mod tests {
     #[test]
     fn reinsert_refreshes_without_duplicating() {
         let mut c = ResultCache::new(2);
-        c.insert(1, "a".into());
-        c.insert(1, "a2".into());
-        c.insert(2, "b".into());
-        c.insert(3, "c".into());
+        c.insert(1, "a");
+        c.insert(1, "a2");
+        c.insert(2, "b");
+        c.insert(3, "c");
         assert_eq!(c.len(), 2);
         assert!(c.get(1).is_none(), "oldest distinct key evicted exactly once");
-        assert_eq!(c.get(3).as_deref(), Some("c"));
+        assert_eq!(payload(c.get(3)).as_deref(), Some("c"));
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
         let mut c = ResultCache::new(0);
-        c.insert(1, "a".into());
+        c.insert(1, "a");
         assert!(c.get(1).is_none());
         assert_eq!(c.misses(), 1);
         assert!(c.is_empty());
@@ -259,9 +280,9 @@ mod tests {
             c.order_len()
         );
         // Recency is still correct after heavy touching: 2 is MRU.
-        c.insert(4, "v4".into());
-        c.insert(5, "v5".into());
-        c.insert(6, "v6".into());
+        c.insert(4, "v4");
+        c.insert(5, "v5");
+        c.insert(6, "v6");
         assert!(c.get(2).is_some(), "hot entry must have survived the evictions");
     }
 
@@ -326,7 +347,11 @@ mod tests {
                     real.insert(k, v.clone());
                     model.insert(k, v);
                 } else {
-                    assert_eq!(real.get(k), model.get(k), "trial {trial} step {step} key {k}");
+                    assert_eq!(
+                        payload(real.get(k)),
+                        model.get(k),
+                        "trial {trial} step {step} key {k}"
+                    );
                 }
                 assert!(real.len() <= cap, "capacity exceeded: {} > {cap}", real.len());
                 assert!(
@@ -351,13 +376,13 @@ mod tests {
     #[test]
     fn lru_order_correct_under_interleaved_touches() {
         let mut c = ResultCache::new(3);
-        c.insert(1, "a".into());
-        c.insert(2, "b".into());
-        c.insert(3, "c".into());
+        c.insert(1, "a");
+        c.insert(2, "b");
+        c.insert(3, "c");
         // Touch in the order 3, 1 — making 2 the LRU.
         assert!(c.get(3).is_some());
         assert!(c.get(1).is_some());
-        c.insert(4, "d".into());
+        c.insert(4, "d");
         assert!(c.get(2).is_none(), "2 was least recently used");
         assert!(c.get(1).is_some() && c.get(3).is_some() && c.get(4).is_some());
         assert_eq!(c.evictions(), 1);

@@ -71,7 +71,12 @@ impl Client {
     /// for everything else, and what the CI smoke test uses to throw
     /// malformed frames at the daemon.
     pub fn raw(&mut self, line: &str) -> Result<String, SxdError> {
-        writeln!(self.writer, "{line}").map_err(SxdError::io)?;
+        // One write: line and newline as separate writes would leave the
+        // newline waiting on Nagle for the first segment's ACK.
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes()).map_err(SxdError::io)?;
         read_frame(&mut self.reader, MAX_REPLY_FRAME)?
             .ok_or_else(|| SxdError::Io { detail: "server closed the connection".into() })
     }
@@ -122,7 +127,7 @@ impl Client {
             lines.push(line);
             // An unknown machine has no client-side key; its reply is a
             // typed error and skips the order check.
-            expected.push(presets::by_name(machine).map(|m| cache_key(suite, &m, params)));
+            expected.push(presets::lookup(machine).map(|m| cache_key(suite, m, params)));
         }
         let replies = self.raw_pipelined(&lines)?;
         let mut out = Vec::with_capacity(replies.len());

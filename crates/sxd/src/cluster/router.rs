@@ -59,6 +59,7 @@ use crate::client::Client;
 use crate::error::SxdError;
 use crate::journal::{self, Journal};
 use crate::proto::{cache_key, read_frame, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
+use crate::server::run_named_reactor;
 
 /// How the router dials a member: a few quick retries so member startup
 /// races (the member thread is still binding) resolve without failing the
@@ -223,7 +224,7 @@ impl Router {
         if inner.shutting_down.load(Ordering::SeqCst) {
             handle.shutdown();
         }
-        let res = reactor.run().map_err(SxdError::io);
+        let res = run_named_reactor(reactor);
         *plock_named(&inner.reactor, "sxd.router.reactor") = None;
         // Retire the member muxes (their reader threads exit on the
         // socket shutdown), then join whatever member threads a shutdown
@@ -249,6 +250,7 @@ impl Service for RouterService {
     /// The parsed request and its raw frame: `submit` and `put` forward
     /// the client's bytes verbatim.
     type Job = (Request, String);
+    const THREAD_PREFIX: &'static str = "sxd";
 
     fn open(&self, _id: u64) {}
 
@@ -262,10 +264,10 @@ impl Service for RouterService {
         };
         let reply = match Request::parse(&frame) {
             Err(e) => bad(e),
-            Ok(Request::Route { suite, machine, params }) => match presets::by_name(&machine) {
+            Ok(Request::Route { suite, machine, params }) => match presets::lookup(&machine) {
                 None => bad(SxdError::UnknownMachine { machine }),
                 Some(model) => {
-                    let key = cache_key(&suite, &model, &params);
+                    let key = cache_key(&suite, model, &params);
                     match owner_of(inner, key) {
                         Ok(owner) => format!(
                             "{{\"ok\":true,\"member\":{owner},\"shard\":\"{}\",\"key\":\"{key:016x}\"}}",
@@ -352,7 +354,10 @@ fn dial(addr: &str) -> Result<TcpStream, SxdError> {
 fn install_mux(inner: &RouterInner, idx: usize, sock: TcpStream) -> Result<(), SxdError> {
     let reader_sock = sock.try_clone().map_err(SxdError::io)?;
     let (wtx, wrx) = mpsc::channel();
-    std::thread::spawn(move || mux_reader(reader_sock, wrx));
+    std::thread::Builder::new()
+        .name(format!("sxd-mux-{idx}"))
+        .spawn(move || mux_reader(reader_sock, wrx))
+        .map_err(SxdError::io)?;
     let mut slot = plock_named(&inner.muxes[idx], "sxd.router.mux");
     if slot.is_none() {
         *slot = Some(MuxState { writer: sock, waiters: wtx });
@@ -475,11 +480,11 @@ fn owner_of(inner: &RouterInner, key: u64) -> Result<usize, SxdError> {
 fn handle_request(inner: &Arc<RouterInner>, req: Request, frame: &str) -> Result<String, SxdError> {
     match req {
         Request::Submit { suite, machine, params } => {
-            let Some(model) = presets::by_name(&machine) else {
+            let Some(model) = presets::lookup(&machine) else {
                 plock_named(&inner.counters, "sxd.router.counters").bad_requests += 1;
                 return Err(SxdError::UnknownMachine { machine });
             };
-            forward(inner, owner_of(inner, cache_key(&suite, &model, &params))?, frame)
+            forward(inner, owner_of(inner, cache_key(&suite, model, &params))?, frame)
         }
         Request::Put { key, .. } => forward(inner, owner_of(inner, key)?, frame),
         Request::Route { .. } => unreachable!("classify answers route inline"),
@@ -721,10 +726,10 @@ fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<S
             }
         }
         for spec in journal::load_restart_specs(&dir) {
-            let Some(model) = presets::by_name(&spec.machine) else { continue };
+            let Some(model) = presets::lookup(&spec.machine) else { continue };
             let params: std::collections::BTreeMap<String, String> =
                 spec.params.iter().cloned().collect();
-            let key = cache_key(&spec.suite, &model, &params);
+            let key = cache_key(&spec.suite, model, &params);
             let owner = owner_of(inner, key)?;
             // A restart spec is full recompute anyway (fraction 0), so it
             // re-enters the cluster as a fresh submit at its new owner.

@@ -45,18 +45,29 @@
 //! ## Cache key
 //!
 //! A run's identity is the FNV-1a/64 digest of a canonical
-//! [`WireWriter`] record: `CODE_VERSION`, the lowercased suite name, the
-//! machine preset's [`canonical_bytes`](sxsim::MachineModel::canonical_bytes)
+//! [`WireWriter`](ncar_suite::WireWriter) record: `CODE_VERSION`, the
+//! lowercased suite name, the machine preset's
+//! [`canonical_bytes`](sxsim::MachineModel::canonical_bytes)
 //! (every model field, IEEE bit patterns — not the preset's *name*, so two
 //! aliases of one machine hit the same entry), and the parameter set in
 //! sorted key order. Identical submissions are served from the result
 //! cache without re-simulation.
+//!
+//! The digest is computed as a stream, in two halves: [`key_prefix`]
+//! hashes the version, suite and machine (about 300 of the record's
+//! bytes, the same for every run of one suite on one machine) and
+//! [`finish_key`] continues a copy of that state over the parameters.
+//! The daemon computes every suite-and-preset prefix once, at bind, so
+//! resolving a submit hashes only its parameters. [`cache_key`] is the
+//! two halves composed; the bytes hashed are exactly the `WireWriter`
+//! record's, so keys (and journals keyed by them) never change.
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
 use ncar_suite::report::json_f64;
-use ncar_suite::{fnv64, Json, WireWriter};
+use ncar_suite::wire::str_field;
+use ncar_suite::{Fnv64, Json};
 use sxsim::MachineModel;
 
 use crate::error::SxdError;
@@ -185,11 +196,11 @@ impl Request {
                 Ok(Request::Put { key, payload })
             }
             "submit" => {
-                let (suite, machine, params) = parse_config(&doc)?;
+                let (suite, machine, params) = parse_config(doc)?;
                 Ok(Request::Submit { suite, machine, params })
             }
             "route" => {
-                let (suite, machine, params) = parse_config(&doc)?;
+                let (suite, machine, params) = parse_config(doc)?;
                 Ok(Request::Route { suite, machine, params })
             }
             _ => {
@@ -230,25 +241,33 @@ impl Request {
 }
 
 /// The shared `suite`/`machine`/`params` body of `submit` and `route`.
-fn parse_config(doc: &Json) -> Result<(String, String, BTreeMap<String, String>), SxdError> {
-    let suite = doc
-        .get("suite")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad_request("submit needs a string \"suite\""))?
-        .to_string();
-    let machine = match doc.get("machine") {
+/// Takes the document by value and moves the strings out of it. Like
+/// [`Json::get`], each field is the first member with its name.
+fn parse_config(doc: Json) -> Result<(String, String, BTreeMap<String, String>), SxdError> {
+    let mut members = match doc {
+        Json::Obj(members) => members,
+        _ => Vec::new(),
+    };
+    let mut take = |key: &str| {
+        members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| std::mem::replace(v, Json::Null))
+    };
+    let suite = match take("suite") {
+        Some(Json::Str(s)) => s,
+        _ => return Err(bad_request("submit needs a string \"suite\"")),
+    };
+    let machine = match take("machine") {
         None | Some(Json::Null) => DEFAULT_MACHINE.to_string(),
-        Some(Json::Str(m)) => m.clone(),
+        Some(Json::Str(m)) => m,
         Some(_) => return Err(bad_request("\"machine\" must be a string")),
     };
     let mut params = BTreeMap::new();
-    match doc.get("params") {
+    match take("params") {
         None | Some(Json::Null) => {}
         Some(Json::Obj(members)) => {
             for (k, v) in members {
                 let v = match v {
-                    Json::Str(s) => s.clone(),
-                    Json::Num(x) => json_f64(*x),
+                    Json::Str(s) => s,
+                    Json::Num(x) => json_f64(x),
                     Json::Bool(b) => b.to_string(),
                     _ => {
                         return Err(bad_request(
@@ -256,7 +275,7 @@ fn parse_config(doc: &Json) -> Result<(String, String, BTreeMap<String, String>)
                         ))
                     }
                 };
-                params.insert(k.clone(), v);
+                params.insert(k, v);
             }
         }
         Some(_) => return Err(bad_request("\"params\" must be an object")),
@@ -281,20 +300,42 @@ fn bad_request(detail: &str) -> SxdError {
     SxdError::BadRequest { detail: detail.into() }
 }
 
-/// The content address of a run configuration (see module docs).
+/// The content address of a run configuration (see module docs): the
+/// composition of [`key_prefix`] and [`finish_key`].
 pub fn cache_key(suite: &str, machine: &MachineModel, params: &BTreeMap<String, String>) -> u64 {
-    let mut w = WireWriter::with_capacity(512);
-    w.put_u32(CODE_VERSION);
-    w.put_str(&suite.to_ascii_lowercase());
+    finish_key(&key_prefix(suite, machine), params)
+}
+
+/// The digest state after the configuration's fixed part: `CODE_VERSION`,
+/// the lowercased suite name and the machine's canonical bytes. Clone it
+/// and finish with [`finish_key`].
+pub fn key_prefix(suite: &str, machine: &MachineModel) -> Fnv64 {
+    let mut h = Fnv64::new();
+    h.write(&CODE_VERSION.to_be_bytes());
+    hash_str(&mut h, &suite.to_ascii_lowercase());
     let mb = machine.canonical_bytes();
-    w.put_u32(mb.len() as u32);
-    w.put_bytes(&mb);
-    w.put_u32(params.len() as u32);
+    h.write(&(mb.len() as u32).to_be_bytes());
+    h.write(&mb);
+    h
+}
+
+/// Finish a [`key_prefix`] over the parameter set, in sorted key order.
+pub fn finish_key(prefix: &Fnv64, params: &BTreeMap<String, String>) -> u64 {
+    let mut h = prefix.clone();
+    h.write(&(params.len() as u32).to_be_bytes());
     for (k, v) in params {
-        w.put_str(k);
-        w.put_str(v);
+        hash_str(&mut h, k);
+        hash_str(&mut h, v);
     }
-    fnv64(&w.into_vec())
+    h.finish()
+}
+
+/// Hash `s` as [`ncar_suite::WireWriter::put_str`] encodes it: a u32
+/// big-endian length, then the (possibly truncated) bytes.
+fn hash_str(h: &mut Fnv64, s: &str) {
+    let field = str_field(s);
+    h.write(&(field.len() as u32).to_be_bytes());
+    h.write(field.as_bytes());
 }
 
 /// The successful submit reply line. `payload` is the cached/fresh result
@@ -302,6 +343,24 @@ pub fn cache_key(suite: &str, machine: &MachineModel, params: &BTreeMap<String, 
 /// that populated them.
 pub fn submit_reply(cached: bool, key: u64, payload: &str) -> String {
     format!("{{\"ok\":true,\"cached\":{cached},\"key\":\"{key:016x}\",\"result\":{payload}}}")
+}
+
+/// The inverse of [`submit_reply`]: `(cached, key, payload)` from a line
+/// it rendered, `None` for any other line.
+pub fn parse_submit_reply(line: &str) -> Option<(bool, u64, &str)> {
+    let rest = line.strip_prefix("{\"ok\":true,\"cached\":")?;
+    let (cached, rest) = match rest.strip_prefix("true") {
+        Some(rest) => (true, rest),
+        None => (false, rest.strip_prefix("false")?),
+    };
+    let rest = rest.strip_prefix(",\"key\":\"")?;
+    let (hex, rest) = (rest.get(..16)?, rest.get(16..)?);
+    if !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    let key = u64::from_str_radix(hex, 16).ok()?;
+    let payload = rest.strip_prefix("\",\"result\":")?.strip_suffix('}')?;
+    Some((cached, key, payload))
 }
 
 #[cfg(test)]
@@ -461,5 +520,124 @@ mod tests {
         assert_ne!(cache_key("fig5", &sx, &p1), cache_key("fig5", &sx, &p2));
         // Aliases of the same preset share an identity.
         assert_eq!(base, cache_key("fig5", &presets::by_name("SX4").unwrap(), &none));
+    }
+
+    /// The key as it was first defined: FNV-1a over one `WireWriter`
+    /// record. `key_prefix` + `finish_key` must hash exactly these bytes.
+    fn reference_key(
+        suite: &str,
+        machine: &MachineModel,
+        params: &BTreeMap<String, String>,
+    ) -> u64 {
+        let mut w = ncar_suite::WireWriter::with_capacity(512);
+        w.put_u32(CODE_VERSION);
+        w.put_str(&suite.to_ascii_lowercase());
+        let mb = machine.canonical_bytes();
+        w.put_u32(mb.len() as u32);
+        w.put_bytes(&mb);
+        w.put_u32(params.len() as u32);
+        for (k, v) in params {
+            w.put_str(k);
+            w.put_str(v);
+        }
+        ncar_suite::fnv64(&w.into_vec())
+    }
+
+    #[test]
+    fn streamed_key_matches_the_wire_record_formula() {
+        let mut rng = SmallRng::seed_from_u64(0x6b65_7973); // "keys"
+        let suites = ["table3", "FIG5", "RadAbs", "ccm2-T42", "é-suite", ""];
+        let alphabet: Vec<char> = "aZ09 _-.\"\\{}é✓ü漢🙂\u{0}\n".chars().collect();
+        let word = |rng: &mut SmallRng| -> String {
+            let len = rng.next_below(12);
+            (0..len).map(|_| alphabet[rng.next_below(alphabet.len())]).collect()
+        };
+        for model in presets::all() {
+            for suite in suites {
+                let prefix = key_prefix(suite, model);
+                for _ in 0..40 {
+                    let params: BTreeMap<String, String> =
+                        (0..rng.next_below(5)).map(|_| (word(&mut rng), word(&mut rng))).collect();
+                    let want = reference_key(suite, model, &params);
+                    assert_eq!(finish_key(&prefix, &params), want, "{suite} {params:?}");
+                    assert_eq!(cache_key(suite, model, &params), want);
+                }
+                assert_eq!(
+                    finish_key(&prefix, &BTreeMap::new()),
+                    reference_key(suite, model, &BTreeMap::new())
+                );
+                // Any casing of the suite name shares the prefix.
+                let upper = key_prefix(&suite.to_ascii_uppercase(), model);
+                assert_eq!(upper.finish(), prefix.finish());
+            }
+        }
+        // Fields past `MAX_FIELD_BYTES` are cut where `put_str` cuts them,
+        // here inside a two-byte char.
+        let long = format!("a{}", "é".repeat(ncar_suite::wire::MAX_FIELD_BYTES / 2));
+        let params = BTreeMap::from([(long.clone(), long)]);
+        let sx = &presets::all()[0];
+        assert_eq!(cache_key("fig5", sx, &params), reference_key("fig5", sx, &params));
+    }
+
+    /// Keys recorded before the key was computed as a stream. Journals on
+    /// disk are keyed by these digests, so they must never move.
+    #[test]
+    fn golden_keys_are_stable() {
+        let sx = presets::sx4_benchmarked();
+        let golden = BTreeMap::from([("ensemble".to_string(), "golden".to_string())]);
+        assert_eq!(format!("{:016x}", cache_key("table3", &sx, &golden)), "17f567575b34d848");
+        assert_eq!(
+            format!("{:016x}", cache_key("radabs", &sx, &BTreeMap::new())),
+            "165c8eb1e119ca23"
+        );
+        let mixed = BTreeMap::from([
+            ("n".to_string(), "3.0".to_string()),
+            ("note".to_string(), "Ünïcødé ✓".to_string()),
+        ]);
+        let ymp = presets::cray_ymp();
+        assert_eq!(format!("{:016x}", cache_key("Fig5", &ymp, &mixed)), "d32029b8559f5d4a");
+    }
+
+    #[test]
+    fn parse_submit_reply_inverts_submit_reply() {
+        for (cached, key, payload) in [
+            (true, 0u64, "{}"),
+            (false, u64::MAX, "{\"a\":\"}\"}"),
+            (true, 0x17f5_6757_5b34_d848, ""),
+        ] {
+            let line = submit_reply(cached, key, payload);
+            assert_eq!(parse_submit_reply(&line), Some((cached, key, payload)));
+        }
+        for other in
+            ["", "{\"ok\":true,\"stats\":{}}", "{\"ok\":true,\"cached\":true,\"key\":\"zz\"}"]
+        {
+            assert_eq!(parse_submit_reply(other), None, "{other}");
+        }
+    }
+
+    /// `submit`/`route` decoding moves strings out of the document but
+    /// keeps `Json::get`'s first-match rule and the old error precedence.
+    #[test]
+    fn config_fields_take_the_first_match_and_keep_error_precedence() {
+        let r = Request::parse(
+            r#"{"op":"route","suite":"a","machine":"sx4","suite":"b","params":{"k":"1","k":"2"}}"#,
+        )
+        .unwrap();
+        let Request::Route { suite, machine, params } = r else { panic!("not a route") };
+        assert_eq!((suite.as_str(), machine.as_str()), ("a", "sx4"));
+        assert_eq!(params.get("k").map(String::as_str), Some("2"), "later params overwrite");
+        for (frame, detail) in [
+            (r#"{"op":"submit","machine":5,"params":[]}"#, "submit needs a string \"suite\""),
+            (
+                r#"{"op":"submit","suite":"x","params":[],"machine":5}"#,
+                "\"machine\" must be a string",
+            ),
+            (
+                r#"{"op":"submit","suite":"x","params":{"k":null}}"#,
+                "param values must be strings, numbers or booleans",
+            ),
+        ] {
+            assert_eq!(Request::parse(frame).unwrap_err().detail(), detail, "{frame}");
+        }
     }
 }

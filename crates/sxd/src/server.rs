@@ -56,7 +56,13 @@
 //! submit-resolution errors and cache hits — are answered inline, without
 //! a dispatcher handoff (the *fast path*); everything else reaches a
 //! dispatcher as the parsed request, and a cache-missing submit as the
-//! job [`Daemon::resolve_submit`] already resolved. The hit probe takes
+//! job [`Daemon::resolve_submit`] already resolved. An inline hit does
+//! no per-frame work beyond its own bytes: [`Server::bind`] hashes every
+//! registered suite's key prefix on every preset once
+//! ([`crate::proto::key_prefix`]), so resolving a submit is a registry
+//! lookup, an allocation-free preset lookup and a hash of its parameters,
+//! and the reply is the cache's own rendered line, shared with the
+//! reactor's output queue rather than copied. The hit probe takes
 //! the same `inflight` -> `cache` pair as a dispatched submit and
 //! `counters` alone to retire, so it adds no lock-graph edges; the one
 //! caveat is that inline `stats` reads the `journal` slot and can ride out
@@ -78,14 +84,14 @@ use ncar_suite::reactor::{
     Classified, DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service,
 };
 use ncar_suite::report::{json_escape, json_f64};
-use ncar_suite::{plock, plock_named, Artifact, Json, Registry, WorkerPool};
+use ncar_suite::{plock, plock_named, Artifact, Fnv64, Json, Registry, WorkerPool};
 use superux::{Admission, JobSpec};
 use sxsim::{presets, MachineModel};
 
 use crate::cache::ResultCache;
 use crate::error::SxdError;
 use crate::journal::{self, Journal, RestartSpec};
-use crate::proto::{cache_key, submit_reply, Request, MAX_REQUEST_FRAME};
+use crate::proto::{finish_key, key_prefix, submit_reply, Request, MAX_REQUEST_FRAME};
 
 /// Simulated seconds charged for writing a drain checkpoint (the `chkpnt`
 /// overhead in the NQS model) and for resuming from it on the next boot.
@@ -351,8 +357,16 @@ struct PendingJob {
     demand: Demand,
 }
 
+/// A registered suite with its cache-key prefix on every machine preset,
+/// indexed like [`presets::PRESET_NAMES`]. Built once at bind: the
+/// registry is fixed for the daemon's life.
+struct BoundSuite {
+    entry: JobEntry,
+    prefixes: Vec<Fnv64>,
+}
+
 struct Daemon {
-    registry: Registry<JobEntry>,
+    registry: Registry<BoundSuite>,
     addr: SocketAddr,
     workers: usize,
     /// Guarded by `admit_cv` waits, so uninstrumented (see [`InflightSlot`]).
@@ -427,8 +441,17 @@ impl Server {
             None => (None, Vec::new()),
         };
 
+        // `Registry::get` matches case-insensitively and the key hashes
+        // the lowercased name, so this prefix serves every spelling.
+        let mut bound = Registry::new();
+        for (name, entry) in registry.iter() {
+            let lower = name.to_ascii_lowercase();
+            let prefixes = presets::all().iter().map(|m| key_prefix(&lower, m)).collect();
+            bound.register(name, BoundSuite { entry: entry.clone(), prefixes });
+        }
+
         let daemon = Arc::new(Daemon {
-            registry,
+            registry: bound,
             addr,
             workers: config.workers.max(1),
             admission: Mutex::new(Admission::whole_node(config.machine)),
@@ -438,7 +461,7 @@ impl Server {
             counters: Mutex::new(Counters::default()),
             inflight: Mutex::new(HashMap::new()),
             metrics: DaemonMetrics::new(),
-            pool: WorkerPool::new(config.workers.max(1)),
+            pool: WorkerPool::named(config.workers.max(1), "sxd-worker"),
             shutting_down: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             reactor: Mutex::new(None),
@@ -513,7 +536,7 @@ impl Server {
         if self.daemon.shutting_down.load(Ordering::SeqCst) {
             handle.shutdown();
         }
-        let res = reactor.run().map_err(SxdError::io);
+        let res = run_named_reactor(reactor);
         *plock_named(&self.daemon.reactor, "sxd.reactor") = None;
         if let Some(h) = readmit {
             let _ = h.join();
@@ -543,6 +566,7 @@ enum Job {
 impl Service for DaemonService {
     type Conn = ();
     type Job = Job;
+    const THREAD_PREFIX: &'static str = "sxd";
 
     fn open(&self, _id: u64) {}
 
@@ -561,16 +585,16 @@ impl Service for DaemonService {
         if !d.fastpath {
             return Classified::Dispatch(Job::Request(parsed));
         }
-        let reply = match parsed {
+        let reply: Arc<str> = match parsed {
             Ok(Request::Submit { suite, machine, params }) => {
                 match d.resolve_submit(suite, &machine, params) {
                     Ok(submit) => match d.serve_hit(&submit, t0) {
-                        Some(reply) => reply,
+                        Some(line) => line,
                         None => return Classified::Dispatch(Job::Submit(Box::new(submit))),
                     },
                     Err(e) => {
                         plock_named(&d.counters, "sxd.counters").fastpath_hits += 1;
-                        e.to_reply()
+                        e.to_reply().into()
                     }
                 }
             }
@@ -580,7 +604,7 @@ impl Service for DaemonService {
             )) => {
                 let reply = d.answer(cheap);
                 plock_named(&d.counters, "sxd.counters").fastpath_hits += 1;
-                reply
+                reply.into()
             }
             other => return Classified::Dispatch(Job::Request(other)),
         };
@@ -617,7 +641,7 @@ impl Service for DaemonService {
 struct Submit {
     suite: String,
     params: BTreeMap<String, String>,
-    model: MachineModel,
+    model: &'static MachineModel,
     key: u64,
     demand: Demand,
     runner: RunFn,
@@ -625,8 +649,8 @@ struct Submit {
 
 /// How one submit resolved against the cache and the in-flight table.
 enum SubmitPath {
-    /// Served from the result cache.
-    Hit(String),
+    /// Served from the result cache: the rendered hit line.
+    Hit(Arc<str>),
     /// This submit runs the job and publishes for any followers.
     Leader(Arc<InflightSlot>),
     /// An identical run is in flight; park and replay its payload.
@@ -683,8 +707,9 @@ impl Daemon {
 
     /// The one submit resolver, shared by the inline hit probe, the
     /// dispatcher and restart re-admission: the admission check, then the
-    /// registry entry, the machine preset and the cache key. Unknown
-    /// suites and machines count as bad requests.
+    /// registry entry, the machine preset and the cache key — the bound
+    /// suite's prefix for that preset, finished over the parameters.
+    /// Unknown suites and machines count as bad requests.
     fn resolve_submit(
         &self,
         suite: String,
@@ -692,15 +717,16 @@ impl Daemon {
         params: BTreeMap<String, String>,
     ) -> Result<Submit, SxdError> {
         self.admitting()?;
-        let Some(entry) = self.registry.get(&suite) else {
+        let Some(BoundSuite { entry, prefixes }) = self.registry.get(&suite) else {
             plock_named(&self.counters, "sxd.counters").bad_requests += 1;
             return Err(SxdError::UnknownSuite { suite });
         };
-        let Some(model) = presets::by_name(machine) else {
+        let Some(preset) = presets::index_of(machine) else {
             plock_named(&self.counters, "sxd.counters").bad_requests += 1;
             return Err(SxdError::UnknownMachine { machine: machine.into() });
         };
-        let key = cache_key(&suite, &model, &params);
+        let model = &presets::all()[preset];
+        let key = finish_key(&prefixes[preset], &params);
         Ok(Submit {
             demand: entry.demand,
             runner: Arc::clone(&entry.runner),
@@ -717,9 +743,10 @@ impl Daemon {
     /// There is no pre-count into `queued`: the hit retires in one counters
     /// critical section (`accepted`, `done`, `fastpath_hits` and the `job`
     /// observation together), so `accepted == done + rejected + queued +
-    /// running` holds at every instant on this path too.
-    fn serve_hit(&self, submit: &Submit, t_job: Instant) -> Option<String> {
-        let payload = {
+    /// running` holds at every instant on this path too. The reply is the
+    /// cache's rendered hit line itself.
+    fn serve_hit(&self, submit: &Submit, t_job: Instant) -> Option<Arc<str>> {
+        let line = {
             let _inflight = plock_named(&self.inflight, "sxd.inflight");
             plock_named(&self.cache, "sxd.cache").probe(submit.key)?
         };
@@ -730,7 +757,7 @@ impl Daemon {
             c.fastpath_hits += 1;
             self.metrics.job.observe(t_job.elapsed().as_secs_f64());
         }
-        Some(submit_reply(true, submit.key, &payload))
+        Some(line)
     }
 
     /// Absorb an already-rendered result under its content address — the
@@ -741,7 +768,7 @@ impl Daemon {
     /// entry would be lost when this member's own journal moves on.
     fn handle_put(&self, key: u64, payload: &str) -> Result<String, SxdError> {
         self.admitting()?;
-        plock_named(&self.cache, "sxd.cache").insert(key, payload.to_string());
+        plock_named(&self.cache, "sxd.cache").insert(key, payload);
         self.persist_result(key, payload);
         plock_named(&self.counters, "sxd.counters").absorbed += 1;
         Ok(format!("{{\"ok\":true,\"absorbed\":true,\"key\":\"{key:016x}\"}}"))
@@ -767,8 +794,8 @@ impl Daemon {
         let t_lookup = Instant::now();
         let path = {
             let mut inflight = plock_named(&self.inflight, "sxd.inflight");
-            if let Some(payload) = plock_named(&self.cache, "sxd.cache").get(key) {
-                SubmitPath::Hit(payload)
+            if let Some(line) = plock_named(&self.cache, "sxd.cache").get(key) {
+                SubmitPath::Hit(line)
             } else if let Some(slot) = inflight.get(&key) {
                 SubmitPath::Follower(Arc::clone(slot))
             } else {
@@ -780,13 +807,13 @@ impl Daemon {
         self.metrics.cache_lookup.observe(t_lookup.elapsed().as_secs_f64());
 
         match path {
-            SubmitPath::Hit(payload) => {
+            SubmitPath::Hit(line) => {
                 let mut c = plock_named(&self.counters, "sxd.counters");
                 c.queued -= 1;
                 c.done += 1;
                 self.metrics.job.observe(t_job.elapsed().as_secs_f64());
                 drop(c);
-                Ok(submit_reply(true, key, &payload))
+                Ok(line.to_string())
             }
             SubmitPath::Follower(slot) => {
                 let outcome = slot.wait();
@@ -912,10 +939,10 @@ impl Daemon {
 
         let runner = Arc::clone(runner);
         let run_params = params.clone();
-        let run_model = model.clone();
+        let run_model = *model;
         let t_run = Instant::now();
         let outcome = self.pool.run(move || {
-            catch_unwind(AssertUnwindSafe(|| runner(&run_model, &run_params)))
+            catch_unwind(AssertUnwindSafe(|| runner(run_model, &run_params)))
                 .unwrap_or_else(|_| Err("runner panicked".into()))
         });
         let run_wall = t_run.elapsed().as_secs_f64();
@@ -966,7 +993,7 @@ impl Daemon {
                 // truth for the *next* boot. The compaction snapshot is
                 // taken after the insert so it can never lose the entry
                 // whose append it supersedes.
-                plock_named(&self.cache, "sxd.cache").insert(key, payload.clone());
+                plock_named(&self.cache, "sxd.cache").insert(key, &payload);
                 self.persist_result(key, &payload);
                 plock_named(&self.pending, "sxd.pending").remove(&key);
                 Ok(payload)
@@ -1252,6 +1279,19 @@ impl Daemon {
     }
 }
 
+/// Run the reactor on a thread named `sxd-reactor` and wait for it, so the
+/// serving loop is identifiable in a process listing whoever calls
+/// [`Server::run`].
+pub(crate) fn run_named_reactor<S: Service>(reactor: Reactor<S>) -> Result<(), SxdError> {
+    std::thread::Builder::new()
+        .name("sxd-reactor".into())
+        .spawn(move || reactor.run())
+        .map_err(SxdError::io)?
+        .join()
+        .map_err(|_| SxdError::Io { detail: "the reactor thread panicked".into() })?
+        .map_err(SxdError::io)
+}
+
 /// Serialize one run result. Deterministic: key order is fixed, floats use
 /// the shortest round-trip form, artifacts serialize themselves. Cache
 /// hits replay these exact bytes.
@@ -1320,7 +1360,7 @@ mod tests {
     /// (the job is dropped unrun).
     fn inline(d: &Arc<Daemon>, frame: &str) -> Option<String> {
         match service(d).classify(&(), frame.into()) {
-            Classified::Inline(reply) => Some(reply.line),
+            Classified::Inline(reply) => Some(reply.line.to_string()),
             Classified::Dispatch(_) => None,
         }
     }
@@ -1329,8 +1369,8 @@ mod tests {
     fn serve(d: &Arc<Daemon>, frame: &str) -> String {
         let svc = service(d);
         match svc.classify(&(), frame.into()) {
-            Classified::Inline(reply) => reply.line,
-            Classified::Dispatch(job) => svc.run(&(), job).line,
+            Classified::Inline(reply) => reply.line.to_string(),
+            Classified::Dispatch(job) => svc.run(&(), job).line.to_string(),
         }
     }
 

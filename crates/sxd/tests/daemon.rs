@@ -293,3 +293,25 @@ fn concurrent_identical_submits_from_shared_registry_are_safe() {
     assert!(cache.get("hits").unwrap().as_u64().unwrap() > 0);
     shut_down(&addr, handle);
 }
+
+/// Back-to-back request/reply on one connection must not wait on Nagle
+/// plus the peer's delayed ACK (about 40 ms a round trip on Linux). Both
+/// ends matter: `Client::raw` sends its frame in one write, and the
+/// daemon sets `TCP_NODELAY` on accepted connections.
+#[test]
+fn sequential_raw_round_trips_do_not_wait_on_delayed_acks() {
+    let (addr, handle) = spawn_daemon(toy_registry());
+    let mut c = Client::connect(&addr).unwrap();
+    let stats = "{\"op\":\"stats\"}";
+    c.raw(stats).unwrap();
+    let t0 = std::time::Instant::now();
+    for _ in 0..20 {
+        c.raw(stats).unwrap();
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(200),
+        "20 sequential round trips took {took:?}; delayed ACKs cost ~800 ms"
+    );
+    shut_down(&addr, handle);
+}

@@ -226,3 +226,35 @@ fn flood_at_1000_connections_returns_fd_count_to_baseline() {
     Client::connect(&addr).unwrap().shutdown().unwrap();
     handle.join().expect("daemon exits");
 }
+
+/// The daemon names its threads, so a probe can count exactly the
+/// daemon's threads in a shared process: one `sxd-reactor`, a
+/// `sxd-dispatch-N` per dispatcher and a `sxd-worker-N` per worker.
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_threads_carry_their_role_names() {
+    let _process = own_process();
+    let (addr, handle) =
+        spawn_daemon(ServerConfig { workers: 2, dispatchers: 3, ..ServerConfig::default() });
+    Client::connect(&addr).unwrap().submit("radabs", "sx4-9.2", &BTreeMap::new()).unwrap();
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|n| n.trim_end().to_string())
+        .filter(|n| n.starts_with("sxd-"))
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "sxd-dispatch-0",
+            "sxd-dispatch-1",
+            "sxd-dispatch-2",
+            "sxd-reactor",
+            "sxd-worker-0",
+            "sxd-worker-1"
+        ]
+    );
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    handle.join().expect("daemon exits");
+}

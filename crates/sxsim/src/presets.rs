@@ -14,6 +14,8 @@
 //! rates are set so each machine's RADABS and HINT behaviour falls in the
 //! band Table 1 reports (see EXPERIMENTS.md for the calibration audit).
 
+use std::sync::OnceLock;
+
 use crate::model::{IntrinsicCosts, MachineModel, MemorySystem, ScalarUnit, VectorUnit};
 
 /// NEC SX-4 single-node model with the given clock period in nanoseconds.
@@ -251,23 +253,55 @@ pub fn table1_machines() -> Vec<MachineModel> {
 }
 
 /// Canonical preset names accepted by [`by_name`], for listings and
-/// error messages.
+/// error messages. [`all`] and [`index_of`] use the same order.
 pub const PRESET_NAMES: [&str; 6] =
     ["sx4-9.2", "sx4-8.0", "cray-ymp", "cri-j90", "sparc20", "rs6000-590"];
 
+/// Every accepted spelling (compared case-insensitively) and the index of
+/// the preset it names in [`PRESET_NAMES`].
+const ALIASES: [(&str, usize); 15] = [
+    ("sx4", 0),
+    ("sx4-9.2", 0),
+    ("sx4-benchmarked", 0),
+    ("sx4-8.0", 1),
+    ("sx4-production", 1),
+    ("ymp", 2),
+    ("cray-ymp", 2),
+    ("cri-ymp", 2),
+    ("j90", 3),
+    ("cri-j90", 3),
+    ("sparc20", 4),
+    ("sun-sparc20", 4),
+    ("rs6000", 5),
+    ("rs6000-590", 5),
+    ("ibm-rs6k-590", 5),
+];
+
+/// Every preset, built once, in [`PRESET_NAMES`] order.
+pub fn all() -> &'static [MachineModel; 6] {
+    static ALL: OnceLock<[MachineModel; 6]> = OnceLock::new();
+    ALL.get_or_init(|| {
+        [sx4_benchmarked(), sx4_production(), cray_ymp(), cri_j90(), sparc20(), rs6000_590()]
+    })
+}
+
+/// The position in [`PRESET_NAMES`] (and [`all`]) of the preset `name`
+/// spells. Case-insensitive, common aliases accepted, no allocation.
+pub fn index_of(name: &str) -> Option<usize> {
+    ALIASES.iter().find(|(alias, _)| alias.eq_ignore_ascii_case(name)).map(|&(_, i)| i)
+}
+
 /// Resolve a machine preset from a textual name (CLI flags, wire
-/// requests). Case-insensitive; common aliases accepted. Returns `None`
-/// for unknown names — serving layers must reject, not panic.
+/// requests) to the shared model, without building or copying it.
+/// Returns `None` for unknown names — serving layers must reject, not
+/// panic.
+pub fn lookup(name: &str) -> Option<&'static MachineModel> {
+    index_of(name).map(|i| &all()[i])
+}
+
+/// [`lookup`], as an owned model the caller may modify.
 pub fn by_name(name: &str) -> Option<MachineModel> {
-    match name.to_ascii_lowercase().as_str() {
-        "sx4" | "sx4-9.2" | "sx4-benchmarked" => Some(sx4_benchmarked()),
-        "sx4-8.0" | "sx4-production" => Some(sx4_production()),
-        "ymp" | "cray-ymp" | "cri-ymp" => Some(cray_ymp()),
-        "j90" | "cri-j90" => Some(cri_j90()),
-        "sparc20" | "sun-sparc20" => Some(sparc20()),
-        "rs6000" | "rs6000-590" | "ibm-rs6k-590" => Some(rs6000_590()),
-        _ => None,
-    }
+    lookup(name).cloned()
 }
 
 #[cfg(test)]
@@ -331,6 +365,18 @@ mod tests {
         assert_eq!(by_name("SX4").unwrap().clock_ns, 9.2);
         assert_eq!(by_name("sx4-8.0").unwrap().clock_ns, 8.0);
         assert!(by_name("cray-2").is_none());
+    }
+
+    #[test]
+    fn lookup_shares_one_model_per_preset_in_name_order() {
+        for (i, name) in PRESET_NAMES.into_iter().enumerate() {
+            assert_eq!(index_of(name), Some(i));
+            assert!(std::ptr::eq(lookup(name).unwrap(), &all()[i]));
+        }
+        assert!(std::ptr::eq(lookup("SX4-Benchmarked").unwrap(), lookup("sx4-9.2").unwrap()));
+        assert_eq!(lookup("IBM-RS6K-590").unwrap().name, rs6000_590().name);
+        assert_eq!(all()[1].canonical_bytes(), sx4_production().canonical_bytes());
+        assert!(lookup("sx4 ").is_none() && lookup("").is_none());
     }
 
     #[test]
