@@ -339,19 +339,17 @@ if ! wait "$cluster_pid"; then
 fi
 rm -rf "$cluster_dir" "$cluster_log"
 
-echo "==> perf smoke (release harness, schema validation, batched-vs-loop equivalence)"
+echo "==> release ledgers (batched-vs-loop equivalence, perfbench sim_charge golden check)"
 # The equivalence property tests — including charge-program record/replay —
 # must also hold under release-mode float optimization: bit-identical
 # ledgers are the whole point.
 cargo test --offline -q -p sxsim --release --test batch_props
 cargo test --offline -q -p ccm-proxy --release program_tests
 cargo test --offline -q -p ocean-models --release program_tests
-cargo build --offline -q --release -p ncar-bench
-perf_json="$(mktemp)"
-target/release/ncar-bench perf --smoke --out "$perf_json" >/dev/null
-target/release/ncar-bench perf --validate "$perf_json"
-rm -f "$perf_json"
-# The committed baseline must stay schema-valid too.
-target/release/ncar-bench perf --validate BENCH_7.json
+# Every sim_charge pass (Fig. 5/6 ladders, a replayed CCM2 T42 step) must
+# match the BENCH_7 ledgers bit for bit, or perfbench exits 1. Five seconds
+# collect the 1000 kernel charge units a p99 needs on a 2-core host.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload sim_charge --seed 7 --seconds 5 --trace 0
 
 echo "==> CI OK"

@@ -14,7 +14,6 @@ mod exp_check;
 mod exp_extra;
 mod exp_kernels;
 mod exp_system;
-mod perf;
 mod serve;
 
 use ncar_suite::Artifact;
@@ -69,7 +68,6 @@ fn main() {
             "drain" => Some(serve::cmd_drain(rest)),
             "flood" => Some(serve::cmd_flood(rest, &exps)),
             "raw" => Some(serve::cmd_raw(rest)),
-            "perf" => Some(perf::cmd_perf(rest, &exps)),
             _ => None,
         };
         if let Some(code) = code {
@@ -136,7 +134,6 @@ fn main() {
             "       ncar-bench flood [--addr A] [--clients N] [--jobs M] [--suite s]... \
              [--pipeline K] [--cluster N]"
         );
-        eprintln!("       ncar-bench perf [--smoke] [--out FILE] [--runs K] [--validate FILE]");
         eprintln!("experiments:");
         for (name, desc, _) in &exps {
             eprintln!("  {name:<12} {desc}");

@@ -10,12 +10,13 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use ncar_suite::metrics::LATENCY_BUCKETS;
 use ncar_suite::{Json, Registry};
 use sxsim::{render_analysis_list, FtraceRow};
 
 use crate::Experiment;
 use sxd::cluster::{spawn as spawn_cluster, ClusterConfig};
-use sxd::{flood, Client, Demand, FloodConfig, JobEntry, Server, ServerConfig};
+use sxd::{flood, Client, Demand, FloodConfig, JobEntry, Metrics, Server, ServerConfig, Stats};
 
 /// Default daemon endpoint when `--addr` is not given.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7464";
@@ -335,7 +336,7 @@ pub fn cmd_stats(args: &[String]) -> i32 {
     };
     match client.stats() {
         Ok(stats) => {
-            println!("{stats}");
+            println!("{}", Stats::from_json(&stats));
             0
         }
         Err(e) => fail(&e.to_string()),
@@ -344,71 +345,76 @@ pub fn cmd_stats(args: &[String]) -> i32 {
 
 /// Render one metrics snapshot the way SUPER-UX renders FTRACE: a stats
 /// summary line, the gauges, a per-stage latency analysis list (quantiles
-/// in microseconds) and the per-suite simulated-seconds breakdown.
-fn render_metrics(m: &Json) -> String {
-    let mut out = String::new();
-    let stats = m.get("stats").cloned().unwrap_or(Json::Null);
-    let n = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let reconciled = m.get("reconciled").and_then(Json::as_bool).unwrap_or(false);
-    out.push_str(&format!(
+/// in microseconds), the histograms that are not in seconds with their raw
+/// quantiles, and the per-suite simulated-seconds breakdown. Only
+/// histograms on the latency ladder ([`LATENCY_BUCKETS`]) are times.
+fn render_metrics(m: &Metrics) -> String {
+    let s = &m.stats;
+    let mut out = format!(
         "jobs: accepted={} done={} rejected={} queued={} running={} \
          coalesced={} bad_requests={}  reconciled={}\n",
-        n("accepted"),
-        n("done"),
-        n("rejected"),
-        n("queued"),
-        n("running"),
-        n("coalesced"),
-        n("bad_requests"),
-        reconciled,
-    ));
-    let cache = stats.get("cache").cloned().unwrap_or(Json::Null);
-    let cn = |k: &str| cache.get(k).and_then(Json::as_u64).unwrap_or(0);
+        s.accepted,
+        s.done,
+        s.rejected,
+        s.queued,
+        s.running,
+        s.coalesced,
+        s.bad_requests,
+        m.reconciled,
+    );
+    let c = &s.cache;
     out.push_str(&format!(
         "cache: hits={} misses={} evictions={} entries={}/{}\n",
-        cn("hits"),
-        cn("misses"),
-        cn("evictions"),
-        cn("entries"),
-        cn("cap"),
+        c.hits, c.misses, c.evictions, c.entries, c.cap,
     ));
-    if let Some(Json::Obj(gauges)) = m.get("gauges") {
-        out.push_str("gauges:");
-        for (k, v) in gauges {
-            out.push_str(&format!(" {k}={}", v.as_f64().unwrap_or(0.0)));
+    out.push_str("gauges:");
+    for (k, v) in &m.gauges {
+        out.push_str(&format!(" {k}={v}"));
+    }
+    out.push('\n');
+
+    let (times, others): (Vec<_>, Vec<_>) =
+        m.latency.iter().partition(|(_, h)| h.bounds == LATENCY_BUCKETS);
+    let rows: Vec<FtraceRow> = times
+        .into_iter()
+        .map(|(stage, h)| FtraceRow {
+            name: stage.clone(),
+            calls: h.count,
+            seconds: h.sum,
+            extra: vec![h.p50() * 1e6, h.p90() * 1e6, h.p99() * 1e6],
+        })
+        .collect();
+    out.push('\n');
+    out.push_str(&render_analysis_list(&["P50(us)", "P90(us)", "P99(us)"], rows));
+    if !others.is_empty() {
+        out.push_str(&format!(
+            "\n{:<20} {:>6} {:>12} {:>12} {:>12}\n",
+            "HISTOGRAM(raw)", "CALLS", "P50", "P90", "P99"
+        ));
+        for (name, h) in others {
+            out.push_str(&format!(
+                "{name:<20} {:>6} {:>12.2} {:>12.2} {:>12.2}\n",
+                h.count,
+                h.p50(),
+                h.p90(),
+                h.p99()
+            ));
         }
-        out.push('\n');
     }
 
-    if let Some(Json::Obj(latency)) = m.get("latency") {
-        let us = |h: &Json, k: &str| h.get(k).and_then(Json::as_f64).unwrap_or(0.0) * 1e6;
-        let rows: Vec<FtraceRow> = latency
+    if !m.suites.is_empty() {
+        let rows: Vec<FtraceRow> = m
+            .suites
             .iter()
-            .map(|(stage, h)| FtraceRow {
-                name: stage.clone(),
-                calls: h.get("count").and_then(Json::as_u64).unwrap_or(0),
-                seconds: h.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
-                extra: vec![us(h, "p50"), us(h, "p90"), us(h, "p99")],
+            .map(|(name, r)| FtraceRow {
+                name: name.clone(),
+                calls: r.runs,
+                seconds: r.sim_seconds,
+                extra: vec![r.avg_stretch],
             })
             .collect();
         out.push('\n');
-        out.push_str(&render_analysis_list(&["P50(us)", "P90(us)", "P99(us)"], rows));
-    }
-
-    if let Some(Json::Obj(suites)) = m.get("suites") {
-        if !suites.is_empty() {
-            let rows: Vec<FtraceRow> = suites
-                .iter()
-                .map(|(name, s)| FtraceRow {
-                    name: name.clone(),
-                    calls: s.get("runs").and_then(Json::as_u64).unwrap_or(0),
-                    seconds: s.get("sim_seconds").and_then(Json::as_f64).unwrap_or(0.0),
-                    extra: vec![s.get("avg_stretch").and_then(Json::as_f64).unwrap_or(0.0)],
-                })
-                .collect();
-            out.push('\n');
-            out.push_str(&render_analysis_list(&["AVG.STRETCH"], rows));
-        }
+        out.push_str(&render_analysis_list(&["AVG.STRETCH"], rows));
     }
     out
 }
@@ -432,7 +438,8 @@ pub fn cmd_metrics(args: &[String]) -> i32 {
     };
     loop {
         match client.metrics() {
-            Ok(m) => {
+            Ok(doc) => {
+                let m = Metrics::from_json(&doc);
                 if args.get("json") == Some("true") {
                     println!("{m}");
                 } else {
@@ -651,6 +658,66 @@ pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncar_suite::metrics::Histogram;
+    use sxd::stats::SuiteRow;
+
+    /// A METRICS document with one histogram of each unit: `job` in
+    /// seconds, `flush_batch` in replies per write, `sim_throughput` a
+    /// ratio — exactly as a daemon files them, all under `latency`.
+    fn mixed_units() -> Metrics {
+        let hist = |bounds: &[f64], values: &[f64]| {
+            let h = Histogram::new(bounds);
+            for &v in values {
+                h.observe(v);
+            }
+            h.snapshot()
+        };
+        let mut m = Metrics::default();
+        m.stats.accepted = 3;
+        m.stats.done = 3;
+        m.stats.coalesced = 1;
+        m.stats.cache.hits = 1;
+        m.stats.cache.misses = 2;
+        m.stats.cache.entries = 2;
+        m.stats.cache.cap = 256;
+        m.gauges.insert("admission_stretch".into(), 1.0);
+        m.gauges.insert("pool_queue_depth".into(), 0.0);
+        m.latency.insert("job".into(), hist(&LATENCY_BUCKETS, &[2e-5, 3e-5, 4e-3]));
+        m.latency.insert("flush_batch".into(), hist(&[1.0, 2.0, 4.0, 8.0], &[1.0, 1.0, 3.0]));
+        m.latency.insert("sim_throughput".into(), hist(&[1e3, 1e4, 1e5, 1e6], &[2e4, 5e5]));
+        m.suites.insert("fig5".into(), SuiteRow { runs: 2, sim_seconds: 60.0, avg_stretch: 1.0 });
+        m.reconciled = true;
+        m
+    }
+
+    /// Only histograms on the latency ladder are times: the FTRACE table
+    /// holds `job` alone (its TIME% is 100), and the unit-free histograms
+    /// show their raw quantiles, not seconds scaled by 1e6.
+    #[test]
+    fn render_metrics_keeps_non_time_histograms_out_of_the_time_table() {
+        let want = "\
+jobs: accepted=3 done=3 rejected=0 queued=0 running=0 coalesced=1 bad_requests=0  reconciled=true
+cache: hits=1 misses=2 evictions=0 entries=2/256
+gauges: admission_stretch=1 pool_queue_depth=0
+
+*----------------------*
+|  FTRACE ANALYSIS LIST |
+*----------------------*
+REGION                CALLS EXCL.TIME(s)   TIME%    P50(us)    P90(us)    P99(us)
+job                       3     0.004050   100.0       37.5     4250.0     4925.0
+
+HISTOGRAM(raw)        CALLS          P50          P90          P99
+flush_batch               3         0.75         3.40         3.94
+sim_throughput            2    100000.00    820000.00    982000.00
+
+*----------------------*
+|  FTRACE ANALYSIS LIST |
+*----------------------*
+REGION                CALLS EXCL.TIME(s)   TIME% AVG.STRETCH
+fig5                      2    60.000000   100.0        1.0
+";
+        assert_eq!(render_metrics(&mixed_units()), want);
+    }
 
     /// The exact bytes of a `table3` cache hit, recorded before the cache
     /// stored rendered hit lines and the reactor shared them. Any change to

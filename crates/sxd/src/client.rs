@@ -12,6 +12,7 @@ use sxsim::presets;
 
 use crate::error::SxdError;
 use crate::proto::{cache_key, read_frame, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
+use crate::stats::{Metrics, Stats};
 
 /// A connected protocol client.
 pub struct Client {
@@ -132,41 +133,21 @@ impl Client {
         let replies = self.raw_pipelined(&lines)?;
         let mut out = Vec::with_capacity(replies.len());
         for (i, raw) in replies.into_iter().enumerate() {
-            let doc = Json::parse(&raw)
-                .map_err(|e| SxdError::BadJson { detail: format!("reply {i}: {e}") })?;
-            match doc.get("ok").and_then(Json::as_bool) {
-                Some(true) => {}
-                _ => {
-                    let err = doc.get("error").cloned().unwrap_or(Json::Null);
-                    return Err(SxdError::Remote {
-                        kind: err
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown")
-                            .to_string(),
-                        detail: err.get("detail").and_then(Json::as_str).unwrap_or("").to_string(),
-                    });
-                }
-            }
-            let key = doc.get("key").and_then(Json::as_str).unwrap_or("").to_string();
+            let doc = decode(&raw, &format!("reply {i}"))?;
+            let sub = Submission::from_reply(doc, raw)?;
             if let Some(want) = expected[i] {
                 let want = format!("{want:016x}");
-                if key != want {
+                if sub.key != want {
                     return Err(SxdError::BadJson {
                         detail: format!(
-                            "pipelined reply {i} is out of order: key {key} but request \
-                             hashes to {want}"
+                            "pipelined reply {i} is out of order: key {} but request \
+                             hashes to {want}",
+                            sub.key
                         ),
                     });
                 }
             }
-            let cached = doc.get("cached").and_then(Json::as_bool).ok_or_else(|| {
-                SxdError::BadJson { detail: "submit reply lacks \"cached\"".into() }
-            })?;
-            let result = doc.get("result").cloned().ok_or_else(|| SxdError::BadJson {
-                detail: "submit reply lacks \"result\"".into(),
-            })?;
-            out.push(Submission { cached, key, result, raw });
+            out.push(sub);
         }
         Ok(out)
     }
@@ -184,19 +165,7 @@ impl Client {
             return Err(SxdError::FrameTooLong { len: line.len(), max: MAX_REQUEST_FRAME });
         }
         let raw = self.raw(line)?;
-        let doc =
-            Json::parse(&raw).map_err(|e| SxdError::BadJson { detail: format!("reply: {e}") })?;
-        match doc.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok((doc, raw)),
-            Some(false) => {
-                let err = doc.get("error").cloned().unwrap_or(Json::Null);
-                Err(SxdError::Remote {
-                    kind: err.get("kind").and_then(Json::as_str).unwrap_or("unknown").to_string(),
-                    detail: err.get("detail").and_then(Json::as_str).unwrap_or("").to_string(),
-                })
-            }
-            None => Err(SxdError::BadJson { detail: "reply lacks a boolean \"ok\"".into() }),
-        }
+        Ok((decode(&raw, "reply")?, raw))
     }
 
     pub fn submit(
@@ -211,38 +180,27 @@ impl Client {
             params: params.clone(),
         };
         let (doc, raw) = self.roundtrip(&req.to_line())?;
-        let cached = doc
-            .get("cached")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| SxdError::BadJson { detail: "submit reply lacks \"cached\"".into() })?;
-        let key = doc
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SxdError::BadJson { detail: "submit reply lacks \"key\"".into() })?
-            .to_string();
-        let result = doc
-            .get("result")
-            .cloned()
-            .ok_or_else(|| SxdError::BadJson { detail: "submit reply lacks \"result\"".into() })?;
-        Ok(Submission { cached, key, result, raw })
+        Submission::from_reply(doc, raw)
     }
 
     /// Fetch the daemon's counters as a JSON object (the `stats` member).
     pub fn stats(&mut self) -> Result<Json, SxdError> {
-        let (doc, _) = self.roundtrip(&Request::Stats.to_line())?;
-        doc.get("stats")
-            .cloned()
-            .ok_or_else(|| SxdError::BadJson { detail: "stats reply lacks \"stats\"".into() })
+        self.fetch(&Request::Stats, Stats::MEMBER)
     }
 
     /// Fetch the full observability snapshot (the `metrics` member:
     /// embedded stats, gauges, per-stage latency histograms, per-suite
     /// breakdown and the `reconciled` flag).
     pub fn metrics(&mut self) -> Result<Json, SxdError> {
-        let (doc, _) = self.roundtrip(&Request::Metrics.to_line())?;
-        doc.get("metrics")
-            .cloned()
-            .ok_or_else(|| SxdError::BadJson { detail: "metrics reply lacks \"metrics\"".into() })
+        self.fetch(&Request::Metrics, Metrics::MEMBER)
+    }
+
+    /// Round-trip `req` and take the document its reply carries in `member`.
+    fn fetch(&mut self, req: &Request, member: &str) -> Result<Json, SxdError> {
+        let (mut doc, _) = self.roundtrip(&req.to_line())?;
+        take(&mut doc, member).ok_or_else(|| SxdError::BadJson {
+            detail: format!("{member} reply lacks \"{member}\""),
+        })
     }
 
     /// Ask the daemon to drain and exit.
@@ -293,6 +251,42 @@ impl Client {
     }
 }
 
+/// The one reply decoder: parse the line (a parse failure is `BadJson`
+/// prefixed with `what`), surface `ok:false` as the server's typed error,
+/// and refuse a reply without a boolean `ok`.
+fn decode(raw: &str, what: &str) -> Result<Json, SxdError> {
+    let doc = Json::parse(raw).map_err(|e| SxdError::BadJson { detail: format!("{what}: {e}") })?;
+    match doc.get("ok").and_then(Json::as_bool) {
+        Some(true) => Ok(doc),
+        Some(false) => {
+            let err = doc.get("error").unwrap_or(&Json::Null);
+            let text = |k: &str| err.get(k).and_then(Json::as_str).map(str::to_string);
+            Err(SxdError::Remote {
+                kind: text("kind").unwrap_or_else(|| "unknown".into()),
+                detail: text("detail").unwrap_or_default(),
+            })
+        }
+        None => Err(SxdError::BadJson { detail: "reply lacks a boolean \"ok\"".into() }),
+    }
+}
+
+/// Move member `name` out of an object, leaving `null` in its place.
+fn take(doc: &mut Json, name: &str) -> Option<Json> {
+    let Json::Obj(members) = doc else { return None };
+    members.iter_mut().find(|(k, _)| k == name).map(|(_, v)| std::mem::replace(v, Json::Null))
+}
+
+impl Submission {
+    /// A decoded `ok:true` submit reply; `raw` is its line.
+    fn from_reply(mut doc: Json, raw: String) -> Result<Submission, SxdError> {
+        let lacks = |m: &str| SxdError::BadJson { detail: format!("submit reply lacks \"{m}\"") };
+        let cached = doc.get("cached").and_then(Json::as_bool).ok_or_else(|| lacks("cached"))?;
+        let key = doc.get("key").and_then(Json::as_str).ok_or_else(|| lacks("key"))?.to_string();
+        let result = take(&mut doc, "result").ok_or_else(|| lacks("result"))?;
+        Ok(Submission { cached, key, result, raw })
+    }
+}
+
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct FloodConfig {
@@ -333,7 +327,9 @@ pub struct FloodOutcome {
     /// Wall seconds from the submit barrier dropping to the last client
     /// finishing (connect time excluded).
     pub wall: f64,
-    /// `completed / wall` — the number BENCH_7's `sxd_flood` reports.
+    /// `completed / wall`, as `ncar-bench flood` prints it. A smoke
+    /// figure: a short flood sits inside scheduler noise, so the gated
+    /// serving numbers come from perfbench's `serve_hot` (BENCHMARK.json).
     pub jobs_per_sec: f64,
     /// Empty when every acceptance criterion held.
     pub problems: Vec<String>,
@@ -431,25 +427,21 @@ pub fn flood(config: &FloodConfig) -> Result<FloodOutcome, SxdError> {
     // One connection reads both views; METRICS embeds its own stats and
     // the daemon's reconciliation verdict over a single atomic snapshot.
     let mut observer = Client::connect(&config.addr)?;
-    let metrics = observer.metrics()?;
-    let stats = metrics.get("stats").cloned().unwrap_or(Json::Null);
-    let n = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let cache = stats.get("cache").cloned().unwrap_or(Json::Null);
-    let cn = |k: &str| cache.get(k).and_then(Json::as_u64).unwrap_or(0);
+    let m = Metrics::from_json(&observer.metrics()?);
     let mut outcome = FloodOutcome {
         submitted: config.jobs,
         completed,
         cached_replies,
-        cache_hits: cn("hits"),
-        cache_misses: cn("misses"),
-        accepted: n("accepted"),
-        done: n("done"),
-        rejected: n("rejected"),
-        queued: n("queued"),
-        running: n("running"),
-        coalesced: n("coalesced"),
-        fastpath_hits: n("fastpath_hits"),
-        reconciled: metrics.get("reconciled").and_then(Json::as_bool).unwrap_or(false),
+        cache_hits: m.stats.cache.hits,
+        cache_misses: m.stats.cache.misses,
+        accepted: m.stats.accepted,
+        done: m.stats.done,
+        rejected: m.stats.rejected,
+        queued: m.stats.queued,
+        running: m.stats.running,
+        coalesced: m.stats.coalesced,
+        fastpath_hits: m.stats.fastpath_hits,
+        reconciled: m.reconciled,
         wall,
         jobs_per_sec: if wall > 0.0 { completed as f64 / wall } else { 0.0 },
         problems,

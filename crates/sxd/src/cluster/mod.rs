@@ -21,15 +21,13 @@
 //!   membership change;
 //! - [`router`] — the forwarding front end, fan-out verbs, and the drain
 //!   hand-off that moves a leaving member's durable keyspace to its
-//!   successors;
-//! - [`aggregate`] — merging member STATS/METRICS into one cluster view
-//!   that preserves the reconciliation invariant.
+//!   successors; it merges member STATS/METRICS into one cluster view
+//!   through [`crate::stats`].
 //!
 //! [`spawn`] stands the whole fabric up in one process tree (the
 //! `ncar-bench serve --cluster N` shape): member listeners on ephemeral
 //! ports, the router on the public address.
 
-pub mod aggregate;
 pub mod ring;
 pub mod router;
 

@@ -7,7 +7,7 @@
 //! that owns the keyspace, so identical configurations always land on the
 //! same shard and its cache/single-flight machinery dedupes cluster-wide.
 //! `stats` and `metrics` fan out to every live member and merge (see
-//! [`super::aggregate`]); `drain` with a `member` retires one shard and
+//! [`crate::stats`]); `drain` with a `member` retires one shard and
 //! hands its durable results to the keyspace successors, so repeat
 //! submits of the drained member's keys still hit — byte-identically.
 //!
@@ -53,13 +53,13 @@ use ncar_suite::reactor::{
 use ncar_suite::{plock_named, Json};
 use sxsim::presets;
 
-use super::aggregate;
 use super::ring::Ring;
 use crate::client::Client;
 use crate::error::SxdError;
 use crate::journal::{self, Journal};
 use crate::proto::{cache_key, read_frame, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
 use crate::server::run_named_reactor;
+use crate::stats::{ConnStats, Metrics, RouterStats, Stats};
 
 /// How the router dials a member: a few quick retries so member startup
 /// races (the member thread is still binding) resolve without failing the
@@ -90,24 +90,6 @@ struct MemberSlot {
     alive: bool,
 }
 
-/// Router-side tallies, guarded by `sxd.router.counters`.
-#[derive(Debug, Default, Clone)]
-struct RouterCounters {
-    forwarded: u64,
-    bad_requests: u64,
-    /// Journal entries replicated to successors by hand-offs.
-    handoff_entries: u64,
-    /// Hand-off entries skipped (oversized for a request frame); their
-    /// keys recompute on the successor instead of replaying.
-    handoff_skipped: u64,
-    /// Checkpointed restart specs re-submitted across the ring.
-    handoff_resubmits: u64,
-    unavailable: u64,
-    /// Frames answered inline on the reactor thread (`route`, parse
-    /// errors): pure ring math, no member I/O.
-    fastpath_hits: u64,
-}
-
 /// One multiplexed member connection: the shared writer half, plus the
 /// queue handing each request's reply waiter to the reader thread. Reply
 /// pairing is positional — waiters are registered in the same order their
@@ -129,7 +111,9 @@ struct RouterInner {
     muxes: Vec<Mutex<Option<MuxState>>>,
     /// Join handles for in-process members, one slot per member.
     handles: Mutex<Vec<MemberHandle>>,
-    counters: Mutex<RouterCounters>,
+    /// The router's tallies; `conns` and the member counts are filled in
+    /// when a STATS reply reads them.
+    counters: Mutex<RouterStats>,
     /// Handle of the running reactor, installed by [`Router::run`]. A
     /// leaf lock, like every router lock (see module docs).
     reactor: Mutex<Option<ReactorHandle>>,
@@ -183,7 +167,7 @@ impl Router {
                 members: Mutex::new(slots),
                 muxes,
                 handles: Mutex::new(handles),
-                counters: Mutex::new(RouterCounters::default()),
+                counters: Mutex::new(RouterStats::default()),
                 reactor: Mutex::new(None),
                 addr: local,
                 shutting_down: AtomicBool::new(false),
@@ -489,17 +473,16 @@ fn handle_request(inner: &Arc<RouterInner>, req: Request, frame: &str) -> Result
         Request::Put { key, .. } => forward(inner, owner_of(inner, key)?, frame),
         Request::Route { .. } => unreachable!("classify answers route inline"),
         Request::Stats => {
-            // Splice the router's own tallies into the merged stats
-            // object as an extra `router` member.
-            let docs = fanout_docs(inner, &Request::Stats.to_line(), "stats")?;
-            let mut merged = aggregate::merge_stats(&docs);
-            merged.pop(); // drop the closing brace
-            let router = router_json(inner);
-            Ok(format!("{{\"ok\":true,\"stats\":{merged},\"router\":{router}}}}}"))
+            let docs = fanout_docs(inner, &Request::Stats.to_line(), Stats::MEMBER)?;
+            let members: Vec<Stats> = docs.iter().map(Stats::from_json).collect();
+            let mut merged = Stats::merge(&members);
+            merged.router = Some(router_stats(inner));
+            Ok(merged.reply())
         }
         Request::Metrics => {
-            let docs = fanout_docs(inner, &Request::Metrics.to_line(), "metrics")?;
-            Ok(format!("{{\"ok\":true,\"metrics\":{}}}", aggregate::merge_metrics(&docs)))
+            let docs = fanout_docs(inner, &Request::Metrics.to_line(), Metrics::MEMBER)?;
+            let members: Vec<Metrics> = docs.iter().map(Metrics::from_json).collect();
+            Ok(Metrics::merge(&members).reply())
         }
         Request::Shutdown => {
             retire_cluster(inner, &Request::Shutdown.to_line());
@@ -528,34 +511,18 @@ fn alive_members(inner: &RouterInner) -> Vec<usize> {
     (0..members.len()).filter(|&m| members[m].alive).collect()
 }
 
-/// The router's own counters, for the `router` member of a stats reply.
-fn router_json(inner: &RouterInner) -> String {
-    let c = plock_named(&inner.counters, "sxd.router.counters").clone();
-    let alive =
+/// The router's own tallies, for the `router` member of a stats reply.
+/// Each lock is a leaf, read and released on its own.
+fn router_stats(inner: &RouterInner) -> RouterStats {
+    let members_alive =
         plock_named(&inner.members, "sxd.router.members").iter().filter(|m| m.alive).count();
-    // Leaf lock, read and released before formatting; never nested.
-    let (conns_open, conns_accepted, conns_idle_closed) = {
-        match plock_named(&inner.reactor, "sxd.router.reactor").as_ref() {
-            Some(h) => (h.open(), h.accepted(), h.idle_closed()),
-            None => (0, 0, 0),
-        }
-    };
-    format!(
-        "{{\"forwarded\":{},\"bad_requests\":{},\"handoff_entries\":{},\
-         \"handoff_skipped\":{},\"handoff_resubmits\":{},\"unavailable\":{},\
-         \"fastpath_hits\":{},\
-         \"conns\":{{\"open\":{conns_open},\"accepted\":{conns_accepted},\
-         \"idle_closed\":{conns_idle_closed}}},\
-         \"members_alive\":{alive},\"members_total\":{}}}",
-        c.forwarded,
-        c.bad_requests,
-        c.handoff_entries,
-        c.handoff_skipped,
-        c.handoff_resubmits,
-        c.unavailable,
-        c.fastpath_hits,
-        inner.ring.len(),
-    )
+    let conns = ConnStats::of(plock_named(&inner.reactor, "sxd.router.reactor").as_ref());
+    RouterStats {
+        conns,
+        members_alive: members_alive as u64,
+        members_total: inner.ring.len() as u64,
+        ..plock_named(&inner.counters, "sxd.router.counters").clone()
+    }
 }
 
 /// Send `line` to every live member and collect the named reply member

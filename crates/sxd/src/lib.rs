@@ -25,6 +25,8 @@
 //!   submits, always-consistent counters, and the `METRICS` verb serving
 //!   per-stage latency histograms and level gauges (the daemon's PROGINF/
 //!   FTRACE analogue, backed by `ncar_suite::metrics`);
+//! - [`stats`] — the STATS and METRICS documents, typed: the one renderer,
+//!   parser and cluster merge every producer and reader goes through;
 //! - [`client`] — typed client, plus the `flood` load generator that
 //!   reproduces the ensemble regime of Table 6 over live connections;
 //! - [`cluster`] — the multi-node fabric (the paper's IXS crossbar, §1):
@@ -41,6 +43,7 @@ pub mod faultpoint;
 pub mod journal;
 pub mod proto;
 pub mod server;
+pub mod stats;
 
 pub use cache::ResultCache;
 pub use client::{flood, Client, FloodConfig, FloodOutcome, Submission};
@@ -49,3 +52,4 @@ pub use error::SxdError;
 pub use journal::{Journal, RestartSpec};
 pub use proto::{cache_key, read_frame, Request, CODE_VERSION, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
 pub use server::{Counters, Demand, JobEntry, RunFn, Server, ServerConfig, SuiteStat};
+pub use stats::{Metrics, Stats};

@@ -78,7 +78,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use ncar_suite::metrics::{Gauge, Histogram, MetricsRegistry};
 use ncar_suite::par::lockreg;
 use ncar_suite::reactor::{
     Classified, DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service,
@@ -92,6 +91,7 @@ use crate::cache::ResultCache;
 use crate::error::SxdError;
 use crate::journal::{self, Journal, RestartSpec};
 use crate::proto::{finish_key, key_prefix, submit_reply, Request, MAX_REQUEST_FRAME};
+use crate::stats::{CacheStats, ConnStats, DaemonMetrics, JournalStats, Metrics, Stats, SuiteRow};
 
 /// Simulated seconds charged for writing a drain checkpoint (the `chkpnt`
 /// overhead in the NQS model) and for resuming from it on the next boot.
@@ -248,67 +248,6 @@ pub struct Counters {
     pub fastpath_hits: u64,
     /// Per-suite serving totals, keyed by lowercased suite name.
     pub suites: BTreeMap<String, SuiteStat>,
-}
-
-/// Bucket edges for the `sim_throughput` histogram: simulated seconds
-/// produced per wall-clock second of runner time. The analytic simulator
-/// runs far faster than real time, so the ladder is log-spaced up to 1e6x.
-const SIM_THROUGHPUT_BUCKETS: [f64; 16] =
-    [0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1e3, 1e4, 1e5, 1e6];
-
-/// Bucket edges for the `flush_batch` histogram: replies per vectored
-/// write syscall. Powers of two up to the reactor's per-syscall slice cap.
-const FLUSH_BATCH_BUCKETS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-
-/// The latency histograms and level gauges the daemon maintains. Stage
-/// histograms are named after the serving pipeline; the `job` histogram is
-/// the reconciled end-to-end one (see module docs). `sim_throughput` is
-/// dimensionless (simulated seconds per runner wall second), not a latency.
-struct DaemonMetrics {
-    registry: MetricsRegistry,
-    frame_parse: Arc<Histogram>,
-    cache_lookup: Arc<Histogram>,
-    admission_wait: Arc<Histogram>,
-    run: Arc<Histogram>,
-    render: Arc<Histogram>,
-    job: Arc<Histogram>,
-    /// Inline reactor-thread answers, decode to flush-queue (see the
-    /// fast-path notes in the module docs).
-    fastpath: Arc<Histogram>,
-    /// Replies per vectored write syscall — not a latency; counts how well
-    /// pipelined replies coalesce on the wire.
-    flush_batch: Arc<Histogram>,
-    sim_throughput: Arc<Histogram>,
-    admission_waiting: Arc<Gauge>,
-    admission_running: Arc<Gauge>,
-    admission_stretch: Arc<Gauge>,
-    pool_queue_depth: Arc<Gauge>,
-    pool_busy_workers: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
-}
-
-impl DaemonMetrics {
-    fn new() -> DaemonMetrics {
-        let registry = MetricsRegistry::new();
-        DaemonMetrics {
-            frame_parse: registry.latency("frame_parse"),
-            cache_lookup: registry.latency("cache_lookup"),
-            admission_wait: registry.latency("admission_wait"),
-            run: registry.latency("run"),
-            render: registry.latency("render"),
-            job: registry.latency("job"),
-            fastpath: registry.latency("fastpath"),
-            flush_batch: registry.histogram("flush_batch", &FLUSH_BATCH_BUCKETS),
-            sim_throughput: registry.histogram("sim_throughput", &SIM_THROUGHPUT_BUCKETS),
-            admission_waiting: registry.gauge("admission_waiting"),
-            admission_running: registry.gauge("admission_running"),
-            admission_stretch: registry.gauge("admission_stretch"),
-            pool_queue_depth: registry.gauge("pool_queue_depth"),
-            pool_busy_workers: registry.gauge("pool_busy_workers"),
-            cache_entries: registry.gauge("cache_entries"),
-            registry,
-        }
-    }
 }
 
 /// Where followers of an in-flight run park until the leader publishes.
@@ -1053,71 +992,43 @@ impl Daemon {
         })
     }
 
-    /// The `stats` member both STATS and METRICS replies embed.
-    fn stats_json(&self, snap: &Counters, cache: (u64, u64, u64, usize, usize)) -> String {
-        let (hits, misses, evictions, entries, cap) = cache;
-        let suite_seconds = Json::Obj(
-            snap.suites.iter().map(|(k, s)| (k.clone(), Json::Num(s.sim_seconds))).collect(),
-        );
-        // Leaf lock, released before the journal lock below is taken —
-        // `sxd.reactor` must never appear in a lock-graph edge.
-        let (conns_open, conns_accepted, conns_idle_closed) = {
-            match plock_named(&self.reactor, "sxd.reactor").as_ref() {
-                Some(h) => (h.open(), h.accepted(), h.idle_closed()),
-                None => (0, 0, 0),
-            }
-        };
-        let journal = match plock_named(&self.journal, "sxd.journal").as_ref() {
-            Some(j) => format!(
-                "{{\"appended\":{},\"replayed\":{},\"compactions\":{},\
-                 \"truncated_bytes\":{},\"io_errors\":{}}}",
-                j.appended(),
-                j.replayed(),
-                j.compactions(),
-                j.truncated_bytes(),
-                self.journal_io_errors.load(Ordering::SeqCst),
-            ),
-            None => "null".into(),
-        };
-        format!(
-            "{{\"accepted\":{},\"rejected\":{},\"queued\":{},\
-             \"running\":{},\"done\":{},\"bad_requests\":{},\"coalesced\":{},\
-             \"checkpointed\":{},\"absorbed\":{},\"fastpath_hits\":{},\
-             \"queue_depth\":{},\
-             \"cache\":{{\"hits\":{hits},\"misses\":{misses},\
-             \"evictions\":{evictions},\"entries\":{entries},\"cap\":{cap}}},\
-             \"conns\":{{\"open\":{conns_open},\"accepted\":{conns_accepted},\
-             \"idle_closed\":{conns_idle_closed}}},\
-             \"suite_seconds\":{},\"workers\":{},\"journal\":{},\
-             \"draining\":{},\"shutting_down\":{}}}",
-            snap.accepted,
-            snap.rejected,
-            snap.queued,
-            snap.running,
-            snap.done,
-            snap.bad_requests,
-            snap.coalesced,
-            snap.checkpointed,
-            snap.absorbed,
-            snap.fastpath_hits,
-            snap.queued,
-            suite_seconds,
-            self.workers,
+    /// The STATS document over one counters snapshot. Each source is read
+    /// under its own lock, released before the next is taken: the
+    /// `sxd.reactor` leaf must never appear in a lock-graph edge.
+    fn stats(&self, snap: &Counters) -> Stats {
+        let cache = CacheStats::of(&plock_named(&self.cache, "sxd.cache"));
+        let conns = ConnStats::of(plock_named(&self.reactor, "sxd.reactor").as_ref());
+        let io_errors = self.journal_io_errors.load(Ordering::SeqCst);
+        let journal = plock_named(&self.journal, "sxd.journal")
+            .as_ref()
+            .map(|j| JournalStats::of(j, io_errors));
+        Stats {
+            accepted: snap.accepted,
+            rejected: snap.rejected,
+            queued: snap.queued,
+            running: snap.running,
+            done: snap.done,
+            bad_requests: snap.bad_requests,
+            coalesced: snap.coalesced,
+            checkpointed: snap.checkpointed,
+            absorbed: snap.absorbed,
+            fastpath_hits: snap.fastpath_hits,
+            queue_depth: snap.queued,
+            cache,
+            conns,
+            suite_seconds: snap.suites.iter().map(|(k, s)| (k.clone(), s.sim_seconds)).collect(),
+            workers: self.workers as u64,
             journal,
-            self.draining.load(Ordering::SeqCst),
-            self.shutting_down.load(Ordering::SeqCst),
-        )
-    }
-
-    fn cache_stats(&self) -> (u64, u64, u64, usize, usize) {
-        let c = plock_named(&self.cache, "sxd.cache");
-        (c.hits(), c.misses(), c.evictions(), c.len(), c.cap())
+            draining: self.draining.load(Ordering::SeqCst),
+            shutting_down: self.shutting_down.load(Ordering::SeqCst),
+            members: None,
+            router: None,
+        }
     }
 
     fn stats_reply(&self) -> String {
-        let cache = self.cache_stats();
         let snap = plock_named(&self.counters, "sxd.counters").clone();
-        format!("{{\"ok\":true,\"stats\":{}}}", self.stats_json(&snap, cache))
+        self.stats(&snap).reply()
     }
 
     /// The METRICS reply: counters, gauges, per-stage latency histograms
@@ -1135,8 +1046,8 @@ impl Daemon {
         }
         self.metrics.pool_queue_depth.set(self.pool.queue_depth() as f64);
         self.metrics.pool_busy_workers.set(self.pool.busy_workers() as f64);
-        let cache = self.cache_stats();
-        self.metrics.cache_entries.set(cache.3 as f64);
+        let entries = plock_named(&self.cache, "sxd.cache").len();
+        self.metrics.cache_entries.set(entries as f64);
 
         let (snap, reg) = {
             let c = plock_named(&self.counters, "sxd.counters");
@@ -1144,45 +1055,23 @@ impl Daemon {
             // `job` observation happens under this same lock.
             (c.clone(), self.metrics.registry.snapshot())
         };
-        let reconciled =
-            reg.histograms.get("job").is_some_and(|h| h.count == snap.done + snap.rejected);
-        let gauges = Json::Obj(
-            reg.gauges.iter().map(|(k, &v)| (k.clone(), Json::Num(v))).collect::<Vec<_>>(),
-        );
-        let latency = Json::Obj(
-            reg.histograms.iter().map(|(k, h)| (k.clone(), h.to_json())).collect::<Vec<_>>(),
-        );
-        let suites = Json::Obj(
-            snap.suites
-                .iter()
-                .map(|(k, s)| {
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("runs".into(), Json::Num(s.runs as f64)),
-                            ("sim_seconds".into(), Json::Num(s.sim_seconds)),
-                            (
-                                "avg_stretch".into(),
-                                Json::Num(if s.runs > 0 {
-                                    s.stretch_sum / s.runs as f64
-                                } else {
-                                    0.0
-                                }),
-                            ),
-                        ]),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        format!(
-            "{{\"ok\":true,\"metrics\":{{\"stats\":{},\"gauges\":{},\"latency\":{},\
-             \"suites\":{},\"reconciled\":{}}}}}",
-            self.stats_json(&snap, cache),
-            gauges,
-            latency,
+        let suites = snap
+            .suites
+            .iter()
+            .map(|(k, s)| {
+                let avg_stretch = if s.runs > 0 { s.stretch_sum / s.runs as f64 } else { 0.0 };
+                (k.clone(), SuiteRow { runs: s.runs, sim_seconds: s.sim_seconds, avg_stretch })
+            })
+            .collect();
+        let mut m = Metrics {
+            stats: self.stats(&snap),
+            gauges: reg.gauges,
+            latency: reg.histograms,
             suites,
-            reconciled,
-        )
+            reconciled: false,
+        };
+        m.reconciled = m.job_count_matches();
+        m.reply()
     }
 
     /// Begin a graceful drain: stop admitting, give in-flight jobs

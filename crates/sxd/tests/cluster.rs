@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use ncar_suite::{Artifact, Json, Registry};
 use sxd::cluster::{spawn, ClusterConfig};
-use sxd::{flood, Client, Demand, FloodConfig, JobEntry, ServerConfig};
+use sxd::{flood, Client, Demand, FloodConfig, JobEntry, Metrics, ServerConfig, Stats};
 
 fn toy_registry() -> Registry<JobEntry> {
     let mut r = Registry::new();
@@ -238,4 +238,31 @@ fn full_cluster_drain_then_respawn_recovers_every_shard() {
     client.shutdown().unwrap();
     cluster.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A router's merged documents are fixed points of the typed schema too:
+/// parse → render reproduces the merged METRICS and the STATS reply with
+/// its `members` count and `router` tallies, byte for byte.
+#[test]
+fn routed_stats_and_metrics_parse_and_render_back_to_their_reply_bytes() {
+    let cluster = spawn(toy_registry(), ClusterConfig { shards: 2, ..ClusterConfig::default() })
+        .expect("spawn cluster");
+    let addr = cluster.addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    for n in 0..6 {
+        c.submit("shallow", "sx4-9.2", &params_n(n)).unwrap();
+        c.submit("shallow", "sx4-9.2", &params_n(n)).unwrap();
+    }
+    let raw = c.raw(r#"{"op":"metrics"}"#).unwrap();
+    let doc = Json::parse(&raw).unwrap();
+    let metrics = Metrics::from_json(doc.get("metrics").unwrap());
+    assert!(metrics.reconciled && metrics.stats.members == Some(2));
+    assert_eq!(metrics.reply(), raw);
+    let raw = c.raw(r#"{"op":"stats"}"#).unwrap();
+    let doc = Json::parse(&raw).unwrap();
+    let stats = Stats::from_json(doc.get("stats").unwrap());
+    assert_eq!(stats.router.as_ref().map(|r| r.members_alive), Some(2));
+    assert_eq!(stats.reply(), raw);
+    c.shutdown().unwrap();
+    cluster.join().unwrap();
 }

@@ -7,7 +7,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ncar_suite::{Artifact, Json, Registry};
-use sxd::{flood, Client, Demand, FloodConfig, JobEntry, Server, ServerConfig, SxdError};
+use sxd::{
+    flood, Client, Demand, FloodConfig, JobEntry, Metrics, Server, ServerConfig, Stats, SxdError,
+};
 
 /// Fast toy suites so tests measure the daemon, not the simulations.
 fn toy_registry() -> Registry<JobEntry> {
@@ -313,5 +315,27 @@ fn sequential_raw_round_trips_do_not_wait_on_delayed_acks() {
         took < std::time::Duration::from_millis(200),
         "20 sequential round trips took {took:?}; delayed ACKs cost ~800 ms"
     );
+    shut_down(&addr, handle);
+}
+
+/// The typed documents are the wire documents: parsing a live STATS or
+/// METRICS reply and rendering it again reproduces the reply byte for
+/// byte, histograms, gauges and suite rows included.
+#[test]
+fn live_stats_and_metrics_parse_and_render_back_to_their_reply_bytes() {
+    let (addr, handle) = spawn_daemon(toy_registry());
+    let mut client = Client::connect(&addr).unwrap();
+    let params = BTreeMap::new();
+    for suite in ["shallow", "shallow", "radabs"] {
+        client.submit(suite, "sx4-9.2", &params).unwrap();
+    }
+    let raw = client.raw(r#"{"op":"metrics"}"#).unwrap();
+    let doc = Json::parse(&raw).unwrap();
+    let metrics = Metrics::from_json(doc.get("metrics").unwrap());
+    assert!(metrics.latency.contains_key("flush_batch") && !metrics.suites.is_empty());
+    assert_eq!(metrics.reply(), raw);
+    let raw = client.raw(r#"{"op":"stats"}"#).unwrap();
+    let doc = Json::parse(&raw).unwrap();
+    assert_eq!(Stats::from_json(doc.get("stats").unwrap()).reply(), raw);
     shut_down(&addr, handle);
 }

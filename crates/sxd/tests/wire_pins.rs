@@ -11,15 +11,17 @@ use std::path::PathBuf;
 
 use ncar_suite::{Artifact, Json, Registry};
 use sxd::cluster::{spawn, ClusterConfig};
-use sxd::{Client, Demand, JobEntry, Server, ServerConfig};
+use sxd::{Client, Demand, JobEntry, Metrics, Server, ServerConfig, Stats};
 
 /// The merges under test, as the bytes a router puts on the wire.
 fn merged_stats(docs: &[Json]) -> String {
-    sxd::cluster::aggregate::merge_stats(docs)
+    let members: Vec<Stats> = docs.iter().map(Stats::from_json).collect();
+    Stats::merge(&members).to_string()
 }
 
 fn merged_metrics(docs: &[Json]) -> String {
-    sxd::cluster::aggregate::merge_metrics(docs)
+    let members: Vec<Metrics> = docs.iter().map(Metrics::from_json).collect();
+    Metrics::merge(&members).to_string()
 }
 
 fn toy_registry() -> Registry<JobEntry> {
