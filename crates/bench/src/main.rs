@@ -59,7 +59,7 @@ fn main() {
     // Daemon/client subcommands take over argument parsing entirely.
     if let Some(sub) = args.first().map(String::as_str) {
         let rest = &args[1..];
-        let code = match sub {
+        let res = match sub {
             "serve" => Some(serve::cmd_serve(rest, &exps)),
             "submit" => Some(serve::cmd_submit(rest)),
             "stats" => Some(serve::cmd_stats(rest)),
@@ -70,8 +70,8 @@ fn main() {
             "raw" => Some(serve::cmd_raw(rest)),
             _ => None,
         };
-        if let Some(code) = code {
-            std::process::exit(code);
+        if let Some(res) = res {
+            std::process::exit(serve::exit_code(res));
         }
     }
 

@@ -129,9 +129,18 @@ impl Args {
     }
 }
 
-fn fail(detail: &str) -> i32 {
-    eprintln!("error: {detail}");
-    1
+/// What a subcommand returns; an error prints as `error: …` and exits 1.
+pub type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+/// The process exit code for a subcommand's result.
+pub fn exit_code(res: CmdResult) -> i32 {
+    match res {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    }
 }
 
 /// `ncar-bench serve [--addr A] [--workers N] [--cache-cap N]
@@ -155,62 +164,43 @@ fn fail(detail: &str) -> i32 {
 /// router in front of N shard daemons on ephemeral loopback ports; every
 /// other flag configures each member. `--state-dir DIR` becomes the
 /// cluster state root (member `i` journals under `DIR/shard-i`).
-pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
+pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> CmdResult {
+    let args = Args::parse(args)?;
     let mut config = ServerConfig { addr: args.addr(), ..ServerConfig::default() };
-    config.workers = match args.get_usize("workers", config.workers) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    config.cache_cap = match args.get_usize("cache-cap", config.cache_cap) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    match args.get_f64("admit-timeout") {
-        Ok(Some(secs)) if secs > 0.0 => config.admit_timeout = Duration::from_secs_f64(secs),
-        Ok(Some(_)) => return fail("--admit-timeout wants a positive number of seconds"),
-        Ok(None) => {}
-        Err(e) => return fail(&e),
+    config.workers = args.get_usize("workers", config.workers)?;
+    config.cache_cap = args.get_usize("cache-cap", config.cache_cap)?;
+    match args.get_f64("admit-timeout")? {
+        Some(secs) if secs > 0.0 => config.admit_timeout = Duration::from_secs_f64(secs),
+        Some(_) => return Err("--admit-timeout wants a positive number of seconds".into()),
+        None => {}
     }
     // --state-dir turns on the durable journal: results survive restarts,
     // and a drain past its deadline checkpoints stragglers there.
     if let Some(dir) = args.get("state-dir") {
         config.state_dir = Some(std::path::PathBuf::from(dir));
     }
-    match args.get_f64("drain-deadline") {
-        Ok(Some(secs)) if secs >= 0.0 => config.drain_deadline = Duration::from_secs_f64(secs),
-        Ok(Some(_)) => return fail("--drain-deadline wants a non-negative number of seconds"),
-        Ok(None) => {}
-        Err(e) => return fail(&e),
+    match args.get_f64("drain-deadline")? {
+        Some(secs) if secs >= 0.0 => config.drain_deadline = Duration::from_secs_f64(secs),
+        Some(_) => return Err("--drain-deadline wants a non-negative number of seconds".into()),
+        None => {}
     }
-    match args.get_f64("idle-timeout") {
-        Ok(Some(0.0)) => config.idle_timeout = None,
-        Ok(Some(secs)) if secs > 0.0 => config.idle_timeout = Some(Duration::from_secs_f64(secs)),
-        Ok(Some(_)) => return fail("--idle-timeout wants a non-negative number of seconds"),
-        Ok(None) => {}
-        Err(e) => return fail(&e),
+    match args.get_f64("idle-timeout")? {
+        Some(0.0) => config.idle_timeout = None,
+        Some(secs) if secs > 0.0 => config.idle_timeout = Some(Duration::from_secs_f64(secs)),
+        Some(_) => return Err("--idle-timeout wants a non-negative number of seconds".into()),
+        None => {}
     }
-    config.dispatchers = match args.get_usize("dispatchers", config.dispatchers) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    config.pipeline_depth = match args.get_usize("pipeline-depth", config.pipeline_depth) {
-        Ok(0) => return fail("--pipeline-depth wants at least 1"),
-        Ok(n) => n,
-        Err(e) => return fail(&e),
+    config.dispatchers = args.get_usize("dispatchers", config.dispatchers)?;
+    config.pipeline_depth = match args.get_usize("pipeline-depth", config.pipeline_depth)? {
+        0 => return Err("--pipeline-depth wants at least 1".into()),
+        n => n,
     };
     match args.get("fastpath") {
         None | Some("true") => {}
         Some("false") => config.fastpath = false,
-        Some(_) => return fail("--fastpath wants true or false"),
+        Some(_) => return Err("--fastpath wants true or false".into()),
     }
-    let shards = match args.get_usize("cluster", 1) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
+    let shards = args.get_usize("cluster", 1)?;
     if shards > 1 {
         let cluster_config = ClusterConfig {
             shards,
@@ -218,33 +208,19 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
             state_dir: config.state_dir.take(),
             server: config,
         };
-        let cluster = match spawn_cluster(registry(experiments), cluster_config) {
-            Ok(c) => c,
-            Err(e) => return fail(&e.to_string()),
-        };
+        let cluster = spawn_cluster(registry(experiments), cluster_config)?;
         println!("sxd listening on {}", cluster.addr());
         let members: Vec<String> = cluster.member_addrs().iter().map(|a| a.to_string()).collect();
         println!("sxd cluster: {shards} shards on {}", members.join(" "));
-        return match cluster.join() {
-            Ok(()) => {
-                println!("sxd cluster drained; exiting");
-                0
-            }
-            Err(e) => fail(&e.to_string()),
-        };
+        cluster.join()?;
+        println!("sxd cluster drained; exiting");
+        return Ok(());
     }
-    let server = match Server::bind(registry(experiments), config) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let server = Server::bind(registry(experiments), config)?;
     println!("sxd listening on {}", server.local_addr());
-    match server.run() {
-        Ok(()) => {
-            println!("sxd drained; exiting");
-            0
-        }
-        Err(e) => fail(&e.to_string()),
-    }
+    server.run()?;
+    println!("sxd drained; exiting");
+    Ok(())
 }
 
 /// `ncar-bench submit <suite> [--addr A] [--machine M] [--param k=v]...
@@ -260,19 +236,13 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
 /// verified to be the one its request hashes to (strict order). Handy for
 /// watching a cold entry warm up: reply 0 says `cached=false`, the rest
 /// `cached=true`.
-pub fn cmd_submit(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let Some(suite) = args.positionals.first() else {
-        return fail("submit needs a suite name (try `ncar-bench list`)");
-    };
+pub fn cmd_submit(args: &[String]) -> CmdResult {
+    let args = Args::parse(args)?;
+    let suite =
+        args.positionals.first().ok_or("submit needs a suite name (try `ncar-bench list`)")?;
     let machine = args.get("machine").unwrap_or("sx4-9.2");
-    let mut client = match Client::connect(&args.addr()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let json = args.get("json") == Some("true");
+    let mut client = Client::connect(&args.addr())?;
     if args.get("show-route") == Some("true") {
         match client.route(suite, machine, &args.params()) {
             Ok(route) => {
@@ -284,63 +254,37 @@ pub fn cmd_submit(args: &[String]) -> i32 {
             Err(e) => println!("route: unavailable ({e})"),
         }
     }
-    let pipeline = match args.get_usize("pipeline", 1) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
+    let pipeline = args.get_usize("pipeline", 1)?;
     if pipeline > 1 {
         let batch: Vec<_> = (0..pipeline)
             .map(|_| (suite.to_string(), machine.to_string(), args.params()))
             .collect();
-        return match client.submit_pipelined(&batch) {
-            Ok(subs) => {
-                for (i, sub) in subs.iter().enumerate() {
-                    if args.get("json") == Some("true") {
-                        println!("{}", sub.raw);
-                    } else {
-                        println!("reply {i}: key={} cached={}", sub.key, sub.cached);
-                    }
-                }
-                0
-            }
-            Err(e) => fail(&e.to_string()),
-        };
-    }
-    match client.submit(suite, machine, &args.params()) {
-        Ok(sub) => {
-            if args.get("json") == Some("true") {
+        for (i, sub) in client.submit_pipelined(&batch)?.iter().enumerate() {
+            if json {
                 println!("{}", sub.raw);
             } else {
-                println!("key={} cached={}", sub.key, sub.cached);
-                if let Some(rendered) =
-                    sub.result.get("rendered").and_then(ncar_suite::Json::as_str)
-                {
-                    print!("{rendered}");
-                }
+                println!("reply {i}: key={} cached={}", sub.key, sub.cached);
             }
-            0
         }
-        Err(e) => fail(&e.to_string()),
+        return Ok(());
     }
+    let sub = client.submit(suite, machine, &args.params())?;
+    if json {
+        println!("{}", sub.raw);
+    } else {
+        println!("key={} cached={}", sub.key, sub.cached);
+        if let Some(rendered) = sub.result.get("rendered").and_then(Json::as_str) {
+            print!("{rendered}");
+        }
+    }
+    Ok(())
 }
 
 /// `ncar-bench stats [--addr A]`
-pub fn cmd_stats(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let mut client = match Client::connect(&args.addr()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
-    match client.stats() {
-        Ok(stats) => {
-            println!("{}", Stats::from_json(&stats));
-            0
-        }
-        Err(e) => fail(&e.to_string()),
-    }
+pub fn cmd_stats(args: &[String]) -> CmdResult {
+    let stats = Client::connect(&Args::parse(args)?.addr())?.stats()?;
+    println!("{}", Stats::from_json(&stats));
+    Ok(())
 }
 
 /// Render one metrics snapshot the way SUPER-UX renders FTRACE: a stats
@@ -408,7 +352,7 @@ fn render_metrics(m: &Metrics) -> String {
             .iter()
             .map(|(name, r)| FtraceRow {
                 name: name.clone(),
-                calls: r.runs,
+                calls: r.runs as u64,
                 seconds: r.sim_seconds,
                 extra: vec![r.avg_stretch],
             })
@@ -420,61 +364,31 @@ fn render_metrics(m: &Metrics) -> String {
 }
 
 /// `ncar-bench metrics [--addr A] [--json true] [--watch SECS]`
-pub fn cmd_metrics(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let watch = match args.get_f64("watch") {
-        Ok(w) => w,
-        Err(e) => return fail(&e),
-    };
+pub fn cmd_metrics(args: &[String]) -> CmdResult {
+    let args = Args::parse(args)?;
+    let watch = args.get_f64("watch")?;
     if watch.is_some_and(|w| w <= 0.0) {
-        return fail("--watch wants a positive number of seconds");
+        return Err("--watch wants a positive number of seconds".into());
     }
-    let mut client = match Client::connect(&args.addr()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let mut client = Client::connect(&args.addr())?;
     loop {
-        match client.metrics() {
-            Ok(doc) => {
-                let m = Metrics::from_json(&doc);
-                if args.get("json") == Some("true") {
-                    println!("{m}");
-                } else {
-                    print!("{}", render_metrics(&m));
-                }
-            }
-            Err(e) => return fail(&e.to_string()),
+        let m = Metrics::from_json(&client.metrics()?);
+        if args.get("json") == Some("true") {
+            println!("{m}");
+        } else {
+            print!("{}", render_metrics(&m));
         }
-        match watch {
-            None => return 0,
-            Some(secs) => {
-                println!();
-                std::thread::sleep(Duration::from_secs_f64(secs));
-            }
-        }
+        let Some(secs) = watch else { return Ok(()) };
+        println!();
+        std::thread::sleep(Duration::from_secs_f64(secs));
     }
 }
 
 /// `ncar-bench shutdown [--addr A]`
-pub fn cmd_shutdown(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let mut client = match Client::connect(&args.addr()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
-    match client.shutdown() {
-        Ok(()) => {
-            println!("sxd acknowledged shutdown");
-            0
-        }
-        Err(e) => fail(&e.to_string()),
-    }
+pub fn cmd_shutdown(args: &[String]) -> CmdResult {
+    Client::connect(&Args::parse(args)?.addr())?.shutdown()?;
+    println!("sxd acknowledged shutdown");
+    Ok(())
 }
 
 /// `ncar-bench drain [--addr A] [--deadline SECS] [--member K]` —
@@ -484,65 +398,40 @@ pub fn cmd_shutdown(args: &[String]) -> i32 {
 /// configured default applies. `--member K` targets a cluster router:
 /// only shard K drains, and the router hands its durable keyspace to the
 /// ring successors before acknowledging.
-pub fn cmd_drain(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let deadline_ms = match args.get_f64("deadline") {
-        Ok(Some(secs)) if secs >= 0.0 => Some((secs * 1000.0) as u64),
-        Ok(Some(_)) => return fail("--deadline wants a non-negative number of seconds"),
-        Ok(None) => None,
-        Err(e) => return fail(&e),
+pub fn cmd_drain(args: &[String]) -> CmdResult {
+    let args = Args::parse(args)?;
+    let deadline_ms = match args.get_f64("deadline")? {
+        Some(secs) if secs >= 0.0 => Some((secs * 1000.0) as u64),
+        Some(_) => return Err("--deadline wants a non-negative number of seconds".into()),
+        None => None,
     };
     let member = match args.get("member") {
         None => None,
-        Some(v) => match v.parse::<usize>() {
-            Ok(m) => Some(m),
-            Err(_) => return fail(&format!("--member wants a shard index, got {v:?}")),
-        },
+        Some(v) => Some(
+            v.parse::<usize>().map_err(|_| format!("--member wants a shard index, got {v:?}"))?,
+        ),
     };
-    let mut client = match Client::connect(&args.addr()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let drained = match member {
-        Some(m) => client.drain_member(m, deadline_ms),
-        None => client.drain(deadline_ms),
-    };
-    match drained {
-        Ok(()) => {
-            match member {
-                Some(m) => println!("sxd drained member {m}; keyspace handed off"),
-                None => println!("sxd acknowledged drain"),
-            }
-            0
+    let mut client = Client::connect(&args.addr())?;
+    match member {
+        Some(m) => {
+            client.drain_member(m, deadline_ms)?;
+            println!("sxd drained member {m}; keyspace handed off");
         }
-        Err(e) => fail(&e.to_string()),
+        None => {
+            client.drain(deadline_ms)?;
+            println!("sxd acknowledged drain");
+        }
     }
+    Ok(())
 }
 
 /// `ncar-bench raw <line> [--addr A]` — send one raw frame, print the raw
 /// reply. The CI smoke test uses this to feed the daemon garbage.
-pub fn cmd_raw(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let Some(line) = args.positionals.first() else {
-        return fail("raw needs the frame to send as an argument");
-    };
-    let mut client = match Client::connect(&args.addr()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
-    match client.raw(line) {
-        Ok(reply) => {
-            println!("{reply}");
-            0
-        }
-        Err(e) => fail(&e.to_string()),
-    }
+pub fn cmd_raw(args: &[String]) -> CmdResult {
+    let args = Args::parse(args)?;
+    let line = args.positionals.first().ok_or("raw needs the frame to send as an argument")?;
+    println!("{}", Client::connect(&args.addr())?.raw(line)?);
+    Ok(())
 }
 
 /// `ncar-bench flood [--addr A] [--clients N] [--jobs M] [--suite s]...
@@ -557,27 +446,12 @@ pub fn cmd_raw(args: &[String]) -> i32 {
 /// at its router, and tears it down afterwards — a one-command shard-
 /// scaling measurement; `--addr` is ignored. Without it the flood targets
 /// an already-running endpoint, daemon or router alike.
-pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
-    let clients = match args.get_usize("clients", 8) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    let jobs = match args.get_usize("jobs", 64) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    let shards = match args.get_usize("cluster", 0) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
-    let pipeline = match args.get_usize("pipeline", 1) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
+pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> CmdResult {
+    let args = Args::parse(args)?;
+    let clients = args.get_usize("clients", 8)?;
+    let jobs = args.get_usize("jobs", 64)?;
+    let shards = args.get_usize("cluster", 0)?;
+    let pipeline = args.get_usize("pipeline", 1)?;
     let mut suites: Vec<String> =
         args.flags.iter().filter(|(k, _)| k == "suite").map(|(_, v)| v.clone()).collect();
     if suites.is_empty() {
@@ -591,13 +465,9 @@ pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> i32 {
             state_dir: None,
             server: ServerConfig::default(),
         };
-        match spawn_cluster(registry(experiments), cluster_config) {
-            Ok(c) => {
-                println!("flood: ephemeral {shards}-shard cluster on {}", c.addr());
-                Some(c)
-            }
-            Err(e) => return fail(&e.to_string()),
-        }
+        let c = spawn_cluster(registry(experiments), cluster_config)?;
+        println!("flood: ephemeral {shards}-shard cluster on {}", c.addr());
+        Some(c)
     } else {
         None
     };
@@ -611,48 +481,42 @@ pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> i32 {
     };
     let flooded = flood(&config);
     if let Some(cluster) = cluster {
-        let down = Client::connect(&config.addr)
+        Client::connect(&config.addr)
             .and_then(|mut c| c.shutdown())
-            .and_then(|()| cluster.join());
-        if let Err(e) = down {
-            return fail(&format!("cluster teardown: {e}"));
-        }
+            .and_then(|()| cluster.join())
+            .map_err(|e| format!("cluster teardown: {e}"))?;
     }
-    match flooded {
-        Ok(outcome) => {
-            println!(
-                "flood: {}/{} jobs completed in {:.3}s ({:.1} jobs/s, pipeline {}), \
-                 {} cached replies; cache {}h/{}m; counters accepted={} done={} rejected={} \
-                 queued={} running={} coalesced={} fastpath_hits={} reconciled={}",
-                outcome.completed,
-                outcome.submitted,
-                outcome.wall,
-                outcome.jobs_per_sec,
-                pipeline.max(1),
-                outcome.cached_replies,
-                outcome.cache_hits,
-                outcome.cache_misses,
-                outcome.accepted,
-                outcome.done,
-                outcome.rejected,
-                outcome.queued,
-                outcome.running,
-                outcome.coalesced,
-                outcome.fastpath_hits,
-                outcome.reconciled,
-            );
-            if outcome.ok() {
-                println!("flood: all acceptance checks passed");
-                0
-            } else {
-                for p in &outcome.problems {
-                    eprintln!("flood problem: {p}");
-                }
-                1
-            }
-        }
-        Err(e) => fail(&e.to_string()),
+    let outcome = flooded?;
+    let s = &outcome.metrics.stats;
+    println!(
+        "flood: {}/{} jobs completed in {:.3}s ({:.1} jobs/s, pipeline {}), \
+         {} cached replies; cache {}h/{}m; counters accepted={} done={} rejected={} \
+         queued={} running={} coalesced={} fastpath_hits={} reconciled={}",
+        outcome.completed,
+        outcome.submitted,
+        outcome.wall,
+        outcome.jobs_per_sec,
+        pipeline.max(1),
+        outcome.cached_replies,
+        s.cache.hits,
+        s.cache.misses,
+        s.accepted,
+        s.done,
+        s.rejected,
+        s.queued,
+        s.running,
+        s.coalesced,
+        s.fastpath_hits,
+        outcome.metrics.reconciled,
+    );
+    for p in &outcome.problems {
+        eprintln!("flood problem: {p}");
     }
+    if !outcome.ok() {
+        return Err(format!("{} flood acceptance check(s) failed", outcome.problems.len()).into());
+    }
+    println!("flood: all acceptance checks passed");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -685,7 +549,7 @@ mod tests {
         m.latency.insert("job".into(), hist(&LATENCY_BUCKETS, &[2e-5, 3e-5, 4e-3]));
         m.latency.insert("flush_batch".into(), hist(&[1.0, 2.0, 4.0, 8.0], &[1.0, 1.0, 3.0]));
         m.latency.insert("sim_throughput".into(), hist(&[1e3, 1e4, 1e5, 1e6], &[2e4, 5e5]));
-        m.suites.insert("fig5".into(), SuiteRow { runs: 2, sim_seconds: 60.0, avg_stretch: 1.0 });
+        m.suites.insert("fig5".into(), SuiteRow { runs: 2.0, sim_seconds: 60.0, avg_stretch: 1.0 });
         m.reconciled = true;
         m
     }

@@ -35,37 +35,24 @@ pub struct Submission {
 
 impl Client {
     pub fn connect(addr: &str) -> Result<Client, SxdError> {
-        let writer = TcpStream::connect(addr).map_err(SxdError::io)?;
+        Client::over(TcpStream::connect(addr).map_err(SxdError::io)?)
+    }
+
+    fn over(writer: TcpStream) -> Result<Client, SxdError> {
         let reader = BufReader::new(writer.try_clone().map_err(SxdError::io)?);
         Ok(Client { reader, writer })
     }
 
     /// [`Client::connect`] with bounded exponential backoff: up to
-    /// `attempts` tries, sleeping `base`, `2·base`, `4·base`, … (capped at
-    /// one second) between failures. Exists for startup races — a router
-    /// dialing members that are still binding, `flood` aimed at a daemon
-    /// whose listener is not up yet. Exhaustion is the *terminal* typed
-    /// error [`SxdError::Retries`]: the caller has already waited through
-    /// the whole schedule, so there is no point retrying the error itself.
+    /// `attempts` tries, `base` doubling up to one second between them,
+    /// then the terminal [`SxdError::Retries`]. Exists for startup races —
+    /// `flood` aimed at a daemon whose listener is not up yet.
     pub fn connect_with_retry(
         addr: &str,
         attempts: usize,
         base: Duration,
     ) -> Result<Client, SxdError> {
-        let attempts = attempts.max(1);
-        let mut delay = base;
-        let mut last = String::new();
-        for attempt in 0..attempts {
-            match Client::connect(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) => last = e.detail(),
-            }
-            if attempt + 1 < attempts {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_secs(1));
-            }
-        }
-        Err(SxdError::Retries { attempts, detail: format!("{addr}: {last}") })
+        Client::over(dial(addr, attempts, base)?)
     }
 
     /// Send one raw line and return the raw reply line. The building block
@@ -251,6 +238,29 @@ impl Client {
     }
 }
 
+/// Connect with bounded exponential backoff: up to `attempts` tries,
+/// sleeping `base`, `2·base`, `4·base`, … (capped at one second) between
+/// failures — for startup races, such as a router dialing members that are
+/// still binding. Exhaustion is the *terminal* typed error
+/// [`SxdError::Retries`]: the caller has already waited through the whole
+/// schedule, so there is no point retrying the error itself.
+pub(crate) fn dial(addr: &str, attempts: usize, base: Duration) -> Result<TcpStream, SxdError> {
+    let attempts = attempts.max(1);
+    let mut delay = base;
+    let mut last = String::new();
+    for attempt in 0..attempts {
+        match TcpStream::connect(addr) {
+            Ok(s) => return Ok(s),
+            Err(e) => last = e.to_string(),
+        }
+        if attempt + 1 < attempts {
+            std::thread::sleep(delay);
+            delay = (delay * 2).min(Duration::from_secs(1));
+        }
+    }
+    Err(SxdError::Retries { attempts, detail: format!("{addr}: {last}") })
+}
+
 /// The one reply decoder: parse the line (a parse failure is `BadJson`
 /// prefixed with `what`), surface `ok:false` as the server's typed error,
 /// and refuse a reply without a boolean `ok`.
@@ -309,21 +319,9 @@ pub struct FloodOutcome {
     pub submitted: usize,
     pub completed: usize,
     pub cached_replies: usize,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub accepted: u64,
-    pub done: u64,
-    pub rejected: u64,
-    pub queued: u64,
-    pub running: u64,
-    /// Submits that coalesced onto an identical in-flight run instead of
-    /// executing again (the single-flight dedup at work).
-    pub coalesced: u64,
-    /// Frames the daemon answered inline on its reactor thread.
-    pub fastpath_hits: u64,
-    /// The daemon's own snapshot-consistency verdict: the `job` latency
-    /// histogram count equals `done + rejected` in the same snapshot.
-    pub reconciled: bool,
+    /// The endpoint's METRICS after the flood: its counters, and its own
+    /// verdict that the `job` histogram counts `done + rejected`.
+    pub metrics: Metrics,
     /// Wall seconds from the submit barrier dropping to the last client
     /// finishing (connect time excluded).
     pub wall: f64,
@@ -427,39 +425,29 @@ pub fn flood(config: &FloodConfig) -> Result<FloodOutcome, SxdError> {
     // One connection reads both views; METRICS embeds its own stats and
     // the daemon's reconciliation verdict over a single atomic snapshot.
     let mut observer = Client::connect(&config.addr)?;
-    let m = Metrics::from_json(&observer.metrics()?);
-    let mut outcome = FloodOutcome {
+    let metrics = Metrics::from_json(&observer.metrics()?);
+    let s = &metrics.stats;
+    if s.cache.hits == 0 && config.jobs > suites.len() {
+        problems.push("cache hit-rate is zero despite repeated configs".into());
+    }
+    let recon = s.done + s.rejected + s.queued + s.running;
+    if s.accepted != recon {
+        problems.push(format!(
+            "counters do not reconcile: accepted={} but done+rejected+queued+running={recon}",
+            s.accepted
+        ));
+    }
+    if !metrics.reconciled {
+        problems.push("metrics snapshot is not reconciled: job histogram != done+rejected".into());
+    }
+    let outcome = FloodOutcome {
         submitted: config.jobs,
         completed,
         cached_replies,
-        cache_hits: m.stats.cache.hits,
-        cache_misses: m.stats.cache.misses,
-        accepted: m.stats.accepted,
-        done: m.stats.done,
-        rejected: m.stats.rejected,
-        queued: m.stats.queued,
-        running: m.stats.running,
-        coalesced: m.stats.coalesced,
-        fastpath_hits: m.stats.fastpath_hits,
-        reconciled: m.reconciled,
+        metrics,
         wall,
         jobs_per_sec: if wall > 0.0 { completed as f64 / wall } else { 0.0 },
         problems,
     };
-    if outcome.cache_hits == 0 && config.jobs > suites.len() {
-        outcome.problems.push("cache hit-rate is zero despite repeated configs".into());
-    }
-    let recon = outcome.done + outcome.rejected + outcome.queued + outcome.running;
-    if outcome.accepted != recon {
-        outcome.problems.push(format!(
-            "counters do not reconcile: accepted={} but done+rejected+queued+running={recon}",
-            outcome.accepted
-        ));
-    }
-    if !outcome.reconciled {
-        outcome
-            .problems
-            .push("metrics snapshot is not reconciled: job histogram != done+rejected".into());
-    }
     Ok(outcome)
 }

@@ -54,7 +54,7 @@ use ncar_suite::{plock_named, Json};
 use sxsim::presets;
 
 use super::ring::Ring;
-use crate::client::Client;
+use crate::client::{dial, Client};
 use crate::error::SxdError;
 use crate::journal::{self, Journal};
 use crate::proto::{cache_key, read_frame, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
@@ -310,28 +310,6 @@ fn mux_reader(sock: TcpStream, waiters: mpsc::Receiver<ReplyTx>) {
     }
 }
 
-/// Dial a member with the standard retry schedule (no lock held).
-fn dial(addr: &str) -> Result<TcpStream, SxdError> {
-    let mut delay = CONNECT_BACKOFF;
-    let mut last = String::new();
-    for attempt in 0..CONNECT_ATTEMPTS {
-        match TcpStream::connect(addr) {
-            Ok(s) => {
-                // Forwards are small frames pipelined back-to-back; never
-                // let Nagle hold one hostage to the previous one's ACK.
-                let _ = s.set_nodelay(true);
-                return Ok(s);
-            }
-            Err(e) => last = e.to_string(),
-        }
-        if attempt + 1 < CONNECT_ATTEMPTS {
-            std::thread::sleep(delay);
-            delay = (delay * 2).min(Duration::from_secs(1));
-        }
-    }
-    Err(SxdError::Retries { attempts: CONNECT_ATTEMPTS, detail: format!("{addr}: {last}") })
-}
-
 /// Stand a freshly dialed socket up as member `idx`'s mux. If a
 /// concurrent dialer won the race, its state stays and ours retires (the
 /// dropped waiter Sender exits our reader thread).
@@ -407,7 +385,10 @@ fn mux_send(inner: &RouterInner, idx: usize, line: &str) -> Result<ReplyRx, SxdE
         return Ok(rx);
     }
     lockreg::blocking_io("sxd.router.dial", &[]);
-    let sock = dial(&addr)?;
+    let sock = dial(&addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF)?;
+    // Forwards are small frames pipelined back-to-back; never let Nagle
+    // hold one hostage to the previous one's ACK.
+    let _ = sock.set_nodelay(true);
     install_mux(inner, idx, sock)?;
     match try_enqueue(inner, idx, line)? {
         Some(rx) => Ok(rx),

@@ -221,31 +221,9 @@ pub struct SuiteStat {
 /// Job counters. All transitions happen under one lock (see module docs).
 #[derive(Debug, Default, Clone)]
 pub struct Counters {
-    pub accepted: u64,
-    pub rejected: u64,
-    pub queued: u64,
-    pub running: u64,
-    pub done: u64,
-    /// Frames that never became jobs (garbage, unknown suite/machine).
-    pub bad_requests: u64,
-    /// Submits that coalesced onto another in-flight identical run.
-    pub coalesced: u64,
-    /// Jobs a drain deadline checkpointed to restart specs instead of
-    /// finishing. Informational: every checkpointed job is also counted in
-    /// `rejected` (its client got a typed `checkpointed` error), so the
-    /// `accepted == done + rejected + queued + running` invariant is
-    /// untouched.
-    pub checkpointed: u64,
-    /// Results absorbed via the cluster hand-off `put` verb. Informational:
-    /// puts never enter the job pipeline, so the counters invariant is
-    /// untouched.
-    pub absorbed: u64,
-    /// Frames answered inline on the reactor thread (cache hits, `stats`,
-    /// typed bad requests and submit-resolution errors). Informational: a
-    /// fast-path submit retires through the same `accepted`/`done`
-    /// transition as a dispatched hit, so the counters invariant is
-    /// untouched.
-    pub fastpath_hits: u64,
+    /// The job counters, in the STATS document they are reported in; a
+    /// reply fills in its other members.
+    pub jobs: Stats,
     /// Per-suite serving totals, keyed by lowercased suite name.
     pub suites: BTreeMap<String, SuiteStat>,
 }
@@ -532,7 +510,7 @@ impl Service for DaemonService {
                         None => return Classified::Dispatch(Job::Submit(Box::new(submit))),
                     },
                     Err(e) => {
-                        plock_named(&d.counters, "sxd.counters").fastpath_hits += 1;
+                        plock_named(&d.counters, "sxd.counters").jobs.fastpath_hits += 1;
                         e.to_reply().into()
                     }
                 }
@@ -542,7 +520,7 @@ impl Service for DaemonService {
                 Request::Stats | Request::Route { .. } | Request::Drain { member: Some(_), .. },
             )) => {
                 let reply = d.answer(cheap);
-                plock_named(&d.counters, "sxd.counters").fastpath_hits += 1;
+                plock_named(&d.counters, "sxd.counters").jobs.fastpath_hits += 1;
                 reply.into()
             }
             other => return Classified::Dispatch(Job::Request(other)),
@@ -601,7 +579,7 @@ impl Daemon {
     /// cheap verbs [`DaemonService::classify`] answers inline with it.
     fn answer(self: &Arc<Self>, parsed: Result<Request, SxdError>) -> String {
         let bad = |e: SxdError| {
-            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            plock_named(&self.counters, "sxd.counters").jobs.bad_requests += 1;
             Err(e)
         };
         let refuse = |detail: &str| bad(SxdError::BadRequest { detail: detail.into() });
@@ -657,11 +635,11 @@ impl Daemon {
     ) -> Result<Submit, SxdError> {
         self.admitting()?;
         let Some(BoundSuite { entry, prefixes }) = self.registry.get(&suite) else {
-            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            plock_named(&self.counters, "sxd.counters").jobs.bad_requests += 1;
             return Err(SxdError::UnknownSuite { suite });
         };
         let Some(preset) = presets::index_of(machine) else {
-            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            plock_named(&self.counters, "sxd.counters").jobs.bad_requests += 1;
             return Err(SxdError::UnknownMachine { machine: machine.into() });
         };
         let model = &presets::all()[preset];
@@ -691,9 +669,9 @@ impl Daemon {
         };
         {
             let mut c = plock_named(&self.counters, "sxd.counters");
-            c.accepted += 1;
-            c.done += 1;
-            c.fastpath_hits += 1;
+            c.jobs.accepted += 1;
+            c.jobs.done += 1;
+            c.jobs.fastpath_hits += 1;
             self.metrics.job.observe(t_job.elapsed().as_secs_f64());
         }
         Some(line)
@@ -709,7 +687,7 @@ impl Daemon {
         self.admitting()?;
         plock_named(&self.cache, "sxd.cache").insert(key, payload);
         self.persist_result(key, payload);
-        plock_named(&self.counters, "sxd.counters").absorbed += 1;
+        plock_named(&self.counters, "sxd.counters").jobs.absorbed += 1;
         Ok(format!("{{\"ok\":true,\"absorbed\":true,\"key\":\"{key:016x}\"}}"))
     }
 
@@ -721,8 +699,8 @@ impl Daemon {
         let key = s.key;
         {
             let mut c = plock_named(&self.counters, "sxd.counters");
-            c.accepted += 1;
-            c.queued += 1;
+            c.jobs.accepted += 1;
+            c.jobs.queued += 1;
         }
 
         // Cache lookup and single-flight resolution are one atomic
@@ -748,8 +726,8 @@ impl Daemon {
         match path {
             SubmitPath::Hit(line) => {
                 let mut c = plock_named(&self.counters, "sxd.counters");
-                c.queued -= 1;
-                c.done += 1;
+                c.jobs.queued -= 1;
+                c.jobs.done += 1;
                 self.metrics.job.observe(t_job.elapsed().as_secs_f64());
                 drop(c);
                 Ok(line.to_string())
@@ -757,14 +735,14 @@ impl Daemon {
             SubmitPath::Follower(slot) => {
                 let outcome = slot.wait();
                 let mut c = plock_named(&self.counters, "sxd.counters");
-                c.queued -= 1;
-                c.coalesced += 1;
+                c.jobs.queued -= 1;
+                c.jobs.coalesced += 1;
                 match &outcome {
-                    Ok(_) => c.done += 1,
+                    Ok(_) => c.jobs.done += 1,
                     Err(e) => {
-                        c.rejected += 1;
+                        c.jobs.rejected += 1;
                         if matches!(e, SxdError::Checkpointed { .. }) {
-                            c.checkpointed += 1;
+                            c.jobs.checkpointed += 1;
                         }
                     }
                 }
@@ -820,8 +798,8 @@ impl Daemon {
         };
         let reject = |detail: String| {
             let mut c = plock_named(&self.counters, "sxd.counters");
-            c.queued -= 1;
-            c.rejected += 1;
+            c.jobs.queued -= 1;
+            c.jobs.rejected += 1;
             self.metrics.job.observe(t_job.elapsed().as_secs_f64());
             drop(c);
             plock_named(&self.pending, "sxd.pending").remove(&key);
@@ -872,8 +850,8 @@ impl Daemon {
         self.metrics.admission_wait.observe(t_adm.elapsed().as_secs_f64());
         {
             let mut c = plock_named(&self.counters, "sxd.counters");
-            c.queued -= 1;
-            c.running += 1;
+            c.jobs.queued -= 1;
+            c.jobs.running += 1;
         }
 
         let runner = Arc::clone(runner);
@@ -901,8 +879,8 @@ impl Daemon {
         match outcome {
             Err(detail) => {
                 let mut c = plock_named(&self.counters, "sxd.counters");
-                c.running -= 1;
-                c.rejected += 1;
+                c.jobs.running -= 1;
+                c.jobs.rejected += 1;
                 self.metrics.job.observe(t_job.elapsed().as_secs_f64());
                 drop(c);
                 plock_named(&self.pending, "sxd.pending").remove(&key);
@@ -919,8 +897,8 @@ impl Daemon {
                 self.metrics.render.observe(t_render.elapsed().as_secs_f64());
                 {
                     let mut c = plock_named(&self.counters, "sxd.counters");
-                    c.running -= 1;
-                    c.done += 1;
+                    c.jobs.running -= 1;
+                    c.jobs.done += 1;
                     let s = c.suites.entry(suite.to_ascii_lowercase()).or_default();
                     s.runs += 1;
                     s.sim_seconds += sim_seconds;
@@ -978,12 +956,12 @@ impl Daemon {
         {
             let mut c = plock_named(&self.counters, "sxd.counters");
             if was_running {
-                c.running -= 1;
+                c.jobs.running -= 1;
             } else {
-                c.queued -= 1;
+                c.jobs.queued -= 1;
             }
-            c.rejected += 1;
-            c.checkpointed += 1;
+            c.jobs.rejected += 1;
+            c.jobs.checkpointed += 1;
             self.metrics.job.observe(t_job.elapsed().as_secs_f64());
         }
         plock_named(&self.pending, "sxd.pending").remove(&key);
@@ -1003,17 +981,7 @@ impl Daemon {
             .as_ref()
             .map(|j| JournalStats::of(j, io_errors));
         Stats {
-            accepted: snap.accepted,
-            rejected: snap.rejected,
-            queued: snap.queued,
-            running: snap.running,
-            done: snap.done,
-            bad_requests: snap.bad_requests,
-            coalesced: snap.coalesced,
-            checkpointed: snap.checkpointed,
-            absorbed: snap.absorbed,
-            fastpath_hits: snap.fastpath_hits,
-            queue_depth: snap.queued,
+            queue_depth: snap.jobs.queued,
             cache,
             conns,
             suite_seconds: snap.suites.iter().map(|(k, s)| (k.clone(), s.sim_seconds)).collect(),
@@ -1021,8 +989,7 @@ impl Daemon {
             journal,
             draining: self.draining.load(Ordering::SeqCst),
             shutting_down: self.shutting_down.load(Ordering::SeqCst),
-            members: None,
-            router: None,
+            ..snap.jobs.clone()
         }
     }
 
@@ -1060,7 +1027,10 @@ impl Daemon {
             .iter()
             .map(|(k, s)| {
                 let avg_stretch = if s.runs > 0 { s.stretch_sum / s.runs as f64 } else { 0.0 };
-                (k.clone(), SuiteRow { runs: s.runs, sim_seconds: s.sim_seconds, avg_stretch })
+                (
+                    k.clone(),
+                    SuiteRow { runs: s.runs as f64, sim_seconds: s.sim_seconds, avg_stretch },
+                )
             })
             .collect();
         let mut m = Metrics {
@@ -1293,7 +1263,10 @@ mod tests {
         // Byte-identical modulo the cached flag.
         assert_eq!(second, first.replace("\"cached\":false", "\"cached\":true"));
         let c = plock(&d.counters);
-        assert_eq!((c.accepted, c.done, c.rejected, c.queued, c.running), (2, 2, 0, 0, 0));
+        assert_eq!(
+            (c.jobs.accepted, c.jobs.done, c.jobs.rejected, c.jobs.queued, c.jobs.running),
+            (2, 2, 0, 0, 0)
+        );
         let toy = c.suites.get("toy").unwrap();
         assert!(toy.sim_seconds > 0.0);
         assert_eq!(toy.runs, 1, "the cache hit must not count as a run");
@@ -1309,7 +1282,7 @@ mod tests {
         assert!(inline(d, frame).is_none());
         {
             let c = plock(&d.counters);
-            assert_eq!((c.accepted, c.fastpath_hits), (0, 0));
+            assert_eq!((c.jobs.accepted, c.jobs.fastpath_hits), (0, 0));
         }
         assert_eq!(plock(&d.cache).misses(), 0, "a declined probe must be invisible");
         // Warm the cache through the full path.
@@ -1320,8 +1293,11 @@ mod tests {
         assert_eq!(fast, slow.replace("\"cached\":false", "\"cached\":true"));
         {
             let c = plock(&d.counters);
-            assert_eq!((c.accepted, c.done, c.fastpath_hits), (2, 2, 1));
-            assert_eq!(c.accepted, c.done + c.rejected + c.queued + c.running);
+            assert_eq!((c.jobs.accepted, c.jobs.done, c.jobs.fastpath_hits), (2, 2, 1));
+            assert_eq!(
+                c.jobs.accepted,
+                c.jobs.done + c.jobs.rejected + c.jobs.queued + c.jobs.running
+            );
         }
         // Stats, parse errors and cluster verbs answer inline; run-bound
         // and stateful verbs do not.
@@ -1352,7 +1328,7 @@ mod tests {
         let _ = serve(d, frame);
         assert!(inline(d, frame).is_none(), "warm hit must still dispatch");
         assert!(inline(d, "{\"op\":\"stats\"}").is_none());
-        assert_eq!(plock(&d.counters).fastpath_hits, 0);
+        assert_eq!(plock(&d.counters).jobs.fastpath_hits, 0);
     }
 
     #[test]
@@ -1373,7 +1349,7 @@ mod tests {
             .expect("a draining daemon refuses submits inline");
         assert_eq!(refused, SxdError::ShuttingDown.to_reply());
         let c = plock(&d.counters);
-        assert_eq!((c.accepted, c.bad_requests, c.fastpath_hits), (0, 2, 3));
+        assert_eq!((c.jobs.accepted, c.jobs.bad_requests, c.jobs.fastpath_hits), (0, 2, 3));
     }
 
     #[test]
@@ -1386,8 +1362,8 @@ mod tests {
         let e2 = submit(d, "toy", "cray-2", &params).unwrap_err();
         assert_eq!(e2.kind(), "unknown_machine");
         let c = plock(&d.counters);
-        assert_eq!(c.accepted, 0);
-        assert_eq!(c.bad_requests, 2);
+        assert_eq!(c.jobs.accepted, 0);
+        assert_eq!(c.jobs.bad_requests, 2);
     }
 
     #[test]
@@ -1411,7 +1387,10 @@ mod tests {
         let err = submit(d, "wide", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "rejected");
         let c = plock(&d.counters);
-        assert_eq!((c.accepted, c.rejected, c.done, c.queued, c.running), (1, 1, 0, 0, 0));
+        assert_eq!(
+            (c.jobs.accepted, c.jobs.rejected, c.jobs.done, c.jobs.queued, c.jobs.running),
+            (1, 1, 0, 0, 0)
+        );
     }
 
     #[test]
@@ -1429,7 +1408,7 @@ mod tests {
         let err = submit(&server.daemon, "boom", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "run_failed");
         let c = plock(&server.daemon.counters);
-        assert_eq!((c.accepted, c.rejected, c.running), (1, 1, 0));
+        assert_eq!((c.jobs.accepted, c.jobs.rejected, c.jobs.running), (1, 1, 0));
     }
 
     #[test]
@@ -1471,8 +1450,11 @@ mod tests {
             assert_eq!(r.replace("\"cached\":false", "\"cached\":true"), canon);
         }
         let c = plock(&d.counters);
-        assert_eq!(c.coalesced, (HERD - 1) as u64);
-        assert_eq!((c.accepted, c.done, c.queued, c.running), (HERD as u64, HERD as u64, 0, 0));
+        assert_eq!(c.jobs.coalesced, (HERD - 1) as u64);
+        assert_eq!(
+            (c.jobs.accepted, c.jobs.done, c.jobs.queued, c.jobs.running),
+            (HERD as u64, HERD as u64, 0, 0)
+        );
         assert_eq!(c.suites.get("slow").unwrap().runs, 1);
     }
 
@@ -1505,8 +1487,8 @@ mod tests {
             assert_eq!(e.kind(), "run_failed", "{e}");
         }
         let c = plock(&d.counters);
-        assert_eq!((c.accepted, c.rejected, c.done), (4, 4, 0));
-        assert_eq!(c.coalesced, 3);
+        assert_eq!((c.jobs.accepted, c.jobs.rejected, c.jobs.done), (4, 4, 0));
+        assert_eq!(c.jobs.coalesced, 3);
         // Failures are not cached: a later submit runs again.
         drop(c);
         let _ = submit(&d, "failing", "sx4", &BTreeMap::new()).unwrap_err();
@@ -1562,16 +1544,19 @@ mod tests {
         assert!(err.detail().contains("admission wait exceeded"), "{err}");
         {
             let c = plock(&d.counters);
-            assert_eq!(c.rejected, 1);
+            assert_eq!(c.jobs.rejected, 1);
             assert_eq!(
-                c.accepted,
-                c.done + c.rejected + c.queued + c.running,
+                c.jobs.accepted,
+                c.jobs.done + c.jobs.rejected + c.jobs.queued + c.jobs.running,
                 "invariant must hold with the hog still in flight"
             );
         }
         hog.join().unwrap().unwrap();
         let c = plock(&d.counters);
-        assert_eq!((c.accepted, c.done, c.rejected, c.queued, c.running), (2, 1, 1, 0, 0));
+        assert_eq!(
+            (c.jobs.accepted, c.jobs.done, c.jobs.rejected, c.jobs.queued, c.jobs.running),
+            (2, 1, 1, 0, 0)
+        );
     }
 
     #[test]

@@ -1,28 +1,20 @@
 //! The STATS and METRICS documents — the daemon's PROGINF and FTRACE
-//! (paper §2.6) — typed, with exactly one renderer, one parser and one
-//! merge each.
+//! (paper §2.6) — typed, with one renderer, one parser and one merge each.
 //!
-//! Every field name and every field's position on the wire lives here.
-//! The daemon fills a [`Stats`] and a [`Metrics`] from its live state and
-//! renders them; the router parses its members' documents, merges them
-//! and attaches its own [`RouterStats`]; `flood` and `ncar-bench metrics`
-//! read replies back through the parser. Counters print as integers
-//! (`"coalesced":0`), floats in their shortest round-trip form, so for
-//! any document a daemon or router sends, parse → render reproduces its
-//! bytes exactly.
+//! Every member name and its place on the wire lives here. The daemon
+//! fills [`Stats`] and [`Metrics`] from its live state; the router parses
+//! its members' documents, merges them and attaches its [`RouterStats`];
+//! `flood` and `ncar-bench metrics` read replies through the parser.
+//! Counters print as integers (`"coalesced":0`) and floats in their
+//! shortest round-trip form, so parsing any document a daemon or router
+//! sends and rendering it again reproduces its bytes.
 //!
-//! RZBENCH's lesson (arXiv 0712.3389) is why the merge sits beside the
-//! schema: a cross-node view is only trustworthy when one harness
-//! aggregates all members. The merged document keeps the exact shape of
-//! a single member's — counters sum, occupancy gauges sum while ratio
-//! gauges re-weight by served traffic, latency histograms merge
-//! bucket-wise, per-suite rows combine with run-weighted average stretch —
-//! so every consumer reads a router exactly as it reads a daemon. The
-//! reconciliation guarantee survives the merge because it is linear: each
-//! member's snapshot satisfies `accepted == done + rejected + queued +
-//! running` and `latency.job.count == done + rejected` internally, so the
-//! sums satisfy both identities too, even though the member snapshots were
-//! taken at different instants.
+//! The merge keeps one member's shape (RZBENCH, arXiv 0712.3389: one
+//! harness aggregates all members), so a router reads like a daemon. It
+//! preserves reconciliation because the invariants are linear: each
+//! member satisfies `accepted == done + rejected + queued + running` and
+//! `latency.job.count == done + rejected` internally, so the sums do too,
+//! though the members' snapshots were taken at different instants.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,6 +22,7 @@ use std::sync::Arc;
 
 use ncar_suite::metrics::{Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 use ncar_suite::reactor::ReactorHandle;
+use ncar_suite::report::{json_escape, json_f64};
 use ncar_suite::Json;
 
 use crate::cache::ResultCache;
@@ -44,8 +37,8 @@ fn member<'a>(doc: &'a Json, name: &str) -> &'a Json {
 
 /// One member value of a document: how it prints, how it reads back (an
 /// absent or mistyped value reads as the empty one, so a member missing a
-/// field merges as zero), and how two members' values combine.
-trait Field: Default {
+/// field merges as zero), and how two members' values sum.
+trait Field: Default + Clone {
     fn write(&self, out: &mut String);
     fn read(doc: &Json) -> Self;
     fn add(&mut self, other: &Self);
@@ -63,7 +56,19 @@ impl Field for u64 {
     }
 }
 
-/// Flags merge as "any member says so".
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json_f64(*self));
+    }
+    fn read(doc: &Json) -> f64 {
+        doc.as_f64().unwrap_or(0.0)
+    }
+    fn add(&mut self, other: &f64) {
+        *self += other;
+    }
+}
+
+/// Flags sum as "any member says so".
 impl Field for bool {
     fn write(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
@@ -76,25 +81,35 @@ impl Field for bool {
     }
 }
 
-/// Per-name float totals, summed name by name.
-impl Field for BTreeMap<String, f64> {
+/// Named values (per suite, per gauge), summed name by name.
+impl<T: Field> Field for BTreeMap<String, T> {
     fn write(&self, out: &mut String) {
-        out.push_str(&num_obj(self.iter().map(|(k, &v)| (k, v))).to_string());
+        out.push('{');
+        for (i, (name, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            out.push_str(&json_escape(name));
+            out.push_str("\":");
+            v.write(out);
+        }
+        out.push('}');
     }
     fn read(doc: &Json) -> Self {
         let members = doc.as_obj().unwrap_or_default();
-        members.iter().filter_map(|(k, v)| Some((k.clone(), v.as_f64()?))).collect()
+        members.iter().map(|(k, v)| (k.clone(), T::read(v))).collect()
     }
     fn add(&mut self, other: &Self) {
         for (k, v) in other {
-            *self.entry(k.clone()).or_insert(0.0) += v;
+            self.entry(k.clone()).and_modify(|mine| mine.add(v)).or_insert_with(|| v.clone());
         }
     }
 }
 
-/// A sub-document that may be `null`: the merge sums the present ones and
+/// A sub-document that may be `null`: the sum covers the present ones and
 /// stays `null` only when every member's is.
-impl<T: Field + Clone> Field for Option<T> {
+impl<T: Field> Field for Option<T> {
     fn write(&self, out: &mut String) {
         match self {
             Some(v) => v.write(out),
@@ -113,14 +128,10 @@ impl<T: Field + Clone> Field for Option<T> {
     }
 }
 
-/// A JSON object of numbers, for the float-valued maps.
-fn num_obj<'a>(items: impl Iterator<Item = (&'a String, f64)>) -> Json {
-    Json::Obj(items.map(|(k, v)| (k.clone(), Json::Num(v))).collect())
-}
-
-/// Declares a document struct whose members print in declaration order.
-/// Fields after `omitted` are `Option`s that print only when set and take
-/// no part in [`Field::add`] — whoever merges decides them.
+/// Declares a document struct whose members print in declaration order
+/// and sum field by field. Fields under `omitted` are `Option`s that
+/// print only when set and take no part in the sum — whoever merges
+/// decides them.
 macro_rules! document {
     (
         $(#[$meta:meta])*
@@ -198,13 +209,8 @@ document! {
 
 impl CacheStats {
     pub(crate) fn of(c: &ResultCache) -> CacheStats {
-        CacheStats {
-            hits: c.hits(),
-            misses: c.misses(),
-            evictions: c.evictions(),
-            entries: c.len() as u64,
-            cap: c.cap() as u64,
-        }
+        let (entries, cap) = (c.len() as u64, c.cap() as u64);
+        CacheStats { hits: c.hits(), misses: c.misses(), evictions: c.evictions(), entries, cap }
     }
 }
 
@@ -261,8 +267,7 @@ impl JournalStats {
 document! {
     /// The router's own tallies, attached to a cluster's merged [`Stats`].
     pub struct RouterStats {
-        /// Frames forwarded to members (fan-outs and hand-off puts
-        /// included).
+        /// Frames forwarded to members, fan-outs and hand-off puts included.
         forwarded: u64,
         bad_requests: u64,
         /// Journal entries replicated to successors by hand-offs.
@@ -284,21 +289,35 @@ document! {
 }
 
 document! {
-    /// The STATS document (also the `stats` member of METRICS). A daemon
-    /// fills it from its counters (see [`crate::Counters`] for what each
-    /// one counts); a router sends the [`Stats::merge`] of its members'
-    /// with `members` and `router` set.
+    /// The STATS document, also the `stats` member of METRICS. A daemon
+    /// keeps its job counters in one ([`crate::Counters`]) and fills in the
+    /// rest per reply; a router sends the [`Stats::merge`] of its members'
+    /// with `router` attached.
     pub struct Stats {
         accepted: u64,
         rejected: u64,
         queued: u64,
         running: u64,
         done: u64,
+        /// Frames that never became jobs (garbage, unknown suite/machine).
         bad_requests: u64,
+        /// Submits that coalesced onto another in-flight identical run.
         coalesced: u64,
+        /// Jobs a drain deadline checkpointed to restart specs instead of
+        /// finishing. Informational: each is also counted in `rejected`
+        /// (its client got a typed `checkpointed` error), so the
+        /// `accepted == done + rejected + queued + running` invariant is
+        /// untouched.
         checkpointed: u64,
+        /// Results absorbed via the cluster hand-off `put` verb.
+        /// Informational: puts never enter the job pipeline.
         absorbed: u64,
+        /// Frames answered inline on the reactor thread (cache hits,
+        /// `stats`, typed bad requests and submit-resolution errors).
+        /// Informational: a fast-path submit retires through the same
+        /// `accepted`/`done` transition as a dispatched hit.
         fastpath_hits: u64,
+        /// The same count as `queued`.
         queue_depth: u64,
         cache: CacheStats,
         conns: ConnStats,
@@ -340,35 +359,36 @@ impl Stats {
     }
 }
 
-/// One suite's row of the per-suite breakdown.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SuiteRow {
-    /// Simulations actually executed (hits and followers replay).
-    pub runs: u64,
-    /// Simulated seconds charged, contention stretch included.
-    pub sim_seconds: f64,
-    pub avg_stretch: f64,
+document! {
+    /// One suite's row of the per-suite breakdown. Every number is a JSON
+    /// float on the wire, the run count included (`"runs":8.0`). Rows merge
+    /// run-weighted in [`Metrics::merge`], not field by field.
+    pub struct SuiteRow {
+        /// Simulations actually executed (hits and followers replay).
+        runs: f64,
+        /// Simulated seconds charged, contention stretch included.
+        sim_seconds: f64,
+        avg_stretch: f64,
+    }
 }
 
-/// Gauges that are ratios (instantaneous rates), not occupancy counts.
-/// Summing them across members is meaningless — a cluster of N equally
-/// loaded members would report N× the stretch any one of them sees — so
-/// they merge as run-weighted means instead (see [`Metrics::merge`]).
+/// Gauges that are ratios, not occupancy levels. Summing them across
+/// members is meaningless — N equally loaded members would report N× the
+/// stretch any one sees — so they merge as run-weighted means.
 const RATIO_GAUGES: &[&str] = &["admission_stretch"];
 
-/// The METRICS document: embedded stats, level gauges, per-stage
-/// histograms, the per-suite breakdown and the reconciliation verdict.
+/// The METRICS document: embedded stats, level gauges, histograms, the
+/// per-suite breakdown and the reconciliation verdict.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     pub stats: Stats,
     pub gauges: BTreeMap<String, f64>,
-    /// Every histogram, latency or not; [`ncar_suite::metrics::LATENCY_BUCKETS`]
-    /// bounds mark the ones in seconds.
+    /// Every histogram, in seconds or not: those whose bounds are
+    /// [`ncar_suite::metrics::LATENCY_BUCKETS`] are times.
     pub latency: BTreeMap<String, HistogramSnapshot>,
     pub suites: BTreeMap<String, SuiteRow>,
-    /// The producer's verdict: a daemon's `job` count equals its
-    /// `done + rejected` in one snapshot; a router's, that every member's
-    /// did and the merged sums still agree.
+    /// A daemon's `job` count equals its `done + rejected` in one snapshot;
+    /// for a router, every member's did and the merged sums still agree.
     pub reconciled: bool,
 }
 
@@ -376,34 +396,19 @@ impl Metrics {
     /// The reply member carrying the document.
     pub const MEMBER: &'static str = "metrics";
 
-    /// Read a document back from its parsed JSON form. Histograms that do
-    /// not have the histogram shape are skipped.
+    /// Read a document back from its parsed JSON form. Histograms without
+    /// the histogram shape are skipped.
     pub fn from_json(doc: &Json) -> Metrics {
-        let obj = |name| member(doc, name).as_obj().unwrap_or_default();
-        let num = |row: &Json, name| member(row, name).as_f64().unwrap_or(0.0);
+        let latency = member(doc, "latency").as_obj().unwrap_or_default();
         Metrics {
-            stats: Stats::from_json(member(doc, "stats")),
-            gauges: obj("gauges")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(0.0)))
-                .collect(),
-            latency: obj("latency")
+            stats: Field::read(member(doc, "stats")),
+            gauges: Field::read(member(doc, "gauges")),
+            latency: latency
                 .iter()
                 .filter_map(|(k, h)| Some((k.clone(), HistogramSnapshot::from_json(h)?)))
                 .collect(),
-            suites: obj("suites")
-                .iter()
-                .map(|(k, row)| {
-                    let runs = member(row, "runs").as_u64().unwrap_or(0);
-                    let row = SuiteRow {
-                        runs,
-                        sim_seconds: num(row, "sim_seconds"),
-                        avg_stretch: num(row, "avg_stretch"),
-                    };
-                    (k.clone(), row)
-                })
-                .collect(),
-            reconciled: member(doc, "reconciled").as_bool() == Some(true),
+            suites: Field::read(member(doc, "suites")),
+            reconciled: Field::read(member(doc, "reconciled")),
         }
     }
 
@@ -418,68 +423,54 @@ impl Metrics {
     }
 
     /// The cluster view of member documents: [`Stats::merge`] of their
-    /// stats; occupancy gauges sum while [`RATIO_GAUGES`] merge as the mean
-    /// weighted by each member's `done` (a plain mean when no member has
+    /// stats; occupancy gauges sum while ratio gauges (`admission_stretch`)
+    /// average weighted by each member's `done` (plainly when no member has
     /// completed anything); histograms merge bucket-wise, skipping any
-    /// shaped differently from the first seen; suite rows sum with a
-    /// run-weighted average stretch. The cluster is `reconciled` when every
-    /// member said so *and* the merged `job` count still equals the merged
-    /// `done + rejected`.
+    /// shaped unlike the first seen; suite rows sum with a run-weighted
+    /// average stretch.
+    /// The cluster is `reconciled` when every member said so *and* the
+    /// merged `job` count still equals the merged `done + rejected`.
     pub fn merge(members: &[Metrics]) -> Metrics {
         let stats: Vec<Stats> = members.iter().map(|m| m.stats.clone()).collect();
         let mut merged = Metrics { stats: Stats::merge(&stats), ..Metrics::default() };
-
-        // Ratio-gauge accumulator: (run-weighted sum, weight, plain sum, count).
+        // Per ratio gauge: (run-weighted sum, runs, plain sum, members).
         let mut ratios: BTreeMap<&str, (f64, f64, f64, f64)> = BTreeMap::new();
-        // Suite accumulator: (runs, sim seconds, run-weighted stretch).
-        let mut suites: BTreeMap<&str, (u64, f64, f64)> = BTreeMap::new();
         for m in members {
             let runs = m.stats.done as f64;
             for (k, &x) in &m.gauges {
                 if RATIO_GAUGES.contains(&k.as_str()) {
-                    let acc = ratios.entry(k).or_default();
-                    acc.0 += x * runs;
-                    acc.1 += runs;
-                    acc.2 += x;
-                    acc.3 += 1.0;
+                    let r = ratios.entry(k).or_default();
+                    *r = (r.0 + x * runs, r.1 + runs, r.2 + x, r.3 + 1.0);
                 } else {
                     *merged.gauges.entry(k.clone()).or_insert(0.0) += x;
                 }
             }
             for (k, h) in &m.latency {
                 match merged.latency.get_mut(k) {
-                    None => {
-                        merged.latency.insert(k.clone(), h.clone());
-                    }
-                    Some(acc) => {
-                        acc.merge(h);
-                    }
+                    // A histogram shaped unlike the first seen is skipped.
+                    Some(acc) => _ = acc.merge(h),
+                    None => _ = merged.latency.insert(k.clone(), h.clone()),
                 }
             }
+            // `avg_stretch` accumulates run-weighted here; divided below.
             for (k, row) in &m.suites {
-                let acc = suites.entry(k).or_default();
-                acc.0 += row.runs;
-                acc.1 += row.sim_seconds;
-                acc.2 += row.avg_stretch * row.runs as f64;
+                let acc = merged.suites.entry(k.clone()).or_default();
+                acc.runs += row.runs;
+                acc.sim_seconds += row.sim_seconds;
+                acc.avg_stretch += row.avg_stretch * row.runs;
             }
         }
-        for (k, (weighted, weight, plain, count)) in ratios {
-            let mean = if weight > 0.0 {
-                weighted / weight
-            } else if count > 0.0 {
-                plain / count
-            } else {
-                0.0
+        for (k, (weighted, runs, plain, count)) in ratios {
+            let mean = match (runs > 0.0, count > 0.0) {
+                (true, _) => weighted / runs,
+                (false, true) => plain / count,
+                (false, false) => 0.0,
             };
             merged.gauges.insert(k.to_string(), mean);
         }
-        merged.suites = suites
-            .into_iter()
-            .map(|(k, (runs, sim_seconds, weighted))| {
-                let avg_stretch = if runs > 0 { weighted / runs as f64 } else { 0.0 };
-                (k.to_string(), SuiteRow { runs, sim_seconds, avg_stretch })
-            })
-            .collect();
+        for row in merged.suites.values_mut() {
+            row.avg_stretch = if row.runs > 0.0 { row.avg_stretch / row.runs } else { 0.0 };
+        }
         merged.reconciled = !members.is_empty()
             && members.iter().all(|m| m.reconciled)
             && merged.job_count_matches();
@@ -489,33 +480,16 @@ impl Metrics {
 
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (mut gauges, mut suites) = (String::new(), String::new());
+        self.gauges.write(&mut gauges);
+        self.suites.write(&mut suites);
         let latency =
             Json::Obj(self.latency.iter().map(|(k, h)| (k.clone(), h.to_json())).collect());
-        // Suite rows print every number through `Json::Num`, runs included.
-        let suites = Json::Obj(
-            self.suites
-                .iter()
-                .map(|(k, r)| {
-                    let row = [
-                        ("runs", r.runs as f64),
-                        ("sim_seconds", r.sim_seconds),
-                        ("avg_stretch", r.avg_stretch),
-                    ];
-                    (
-                        k.clone(),
-                        Json::Obj(
-                            row.iter().map(|&(n, v)| (n.to_string(), Json::Num(v))).collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        );
         write!(
             f,
-            "{{\"stats\":{},\"gauges\":{},\"latency\":{latency},\"suites\":{suites},\"reconciled\":{}}}",
-            self.stats,
-            num_obj(self.gauges.iter().map(|(k, &v)| (k, v))),
-            self.reconciled,
+            "{{\"stats\":{},\"gauges\":{gauges},\"latency\":{latency},\"suites\":{suites},\
+             \"reconciled\":{}}}",
+            self.stats, self.reconciled,
         )
     }
 }
@@ -530,10 +504,10 @@ const SIM_THROUGHPUT_BUCKETS: [f64; 16] =
 /// write syscall. Powers of two up to the reactor's per-syscall slice cap.
 const FLUSH_BATCH_BUCKETS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-/// The histograms and level gauges a daemon maintains — the members of its
-/// METRICS `latency` and `gauges`. Stage histograms are named after the
-/// serving pipeline; `job` is the reconciled end-to-end one, observed only
-/// inside the counters critical sections that retire a job.
+/// The histograms and level gauges a daemon maintains: the members of its
+/// METRICS `latency` and `gauges`. Stage histograms follow the serving
+/// pipeline; `job` is the reconciled end-to-end one, observed only inside
+/// the counters critical sections that retire a job.
 pub(crate) struct DaemonMetrics {
     pub registry: MetricsRegistry,
     pub frame_parse: Arc<Histogram>,
@@ -544,8 +518,7 @@ pub(crate) struct DaemonMetrics {
     pub job: Arc<Histogram>,
     /// Inline reactor-thread answers, decode to flush queue.
     pub fastpath: Arc<Histogram>,
-    /// Replies per vectored write syscall — not a latency; counts how well
-    /// pipelined replies coalesce on the wire.
+    /// Replies per vectored write syscall — not a latency.
     pub flush_batch: Arc<Histogram>,
     /// Simulated seconds per runner wall second — dimensionless.
     pub sim_throughput: Arc<Histogram>,
@@ -655,7 +628,7 @@ mod tests {
             latency: [("job".to_string(), job.snapshot())].into(),
             suites: [(
                 "toy".to_string(),
-                SuiteRow { runs, sim_seconds: 1.0, avg_stretch: stretch },
+                SuiteRow { runs: runs as f64, sim_seconds: 1.0, avg_stretch: stretch },
             )]
             .into(),
             reconciled: true,
@@ -672,7 +645,7 @@ mod tests {
         // (2·1.0 + 6·2.0) / 8 = 1.75 — run-weighted, not summed.
         assert_eq!(m.gauges["pool_queue_depth"], 2.0);
         assert_eq!(m.gauges["admission_stretch"], 1.75);
-        assert_eq!(m.suites["toy"], SuiteRow { runs: 8, sim_seconds: 2.0, avg_stretch: 1.75 });
+        assert_eq!(m.suites["toy"], SuiteRow { runs: 8.0, sim_seconds: 2.0, avg_stretch: 1.75 });
         // Idle members (zero completed jobs) fall back to the plain mean.
         let m = Metrics::merge(&[member_metrics(0, 0, 2.0), member_metrics(0, 0, 1.0)]);
         assert_eq!(m.gauges["admission_stretch"], 1.5);

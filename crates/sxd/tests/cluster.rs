@@ -83,7 +83,7 @@ fn flood_through_the_router_passes_the_single_node_acceptance_checks() {
     })
     .expect("flood runs");
     assert!(outcome.ok(), "flood through the router: {:?}", outcome.problems);
-    assert!(outcome.cache_hits > 0, "repeat configs must hit some member's cache");
+    assert!(outcome.metrics.stats.cache.hits > 0, "repeat configs must hit some member's cache");
 
     let mut client = Client::connect(&addr).unwrap();
     client.shutdown().unwrap();

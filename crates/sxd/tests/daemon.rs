@@ -162,11 +162,9 @@ fn flood_completes_with_zero_drops_and_reconciled_counters() {
     .unwrap();
     assert!(outcome.ok(), "flood problems: {:?}", outcome.problems);
     assert_eq!(outcome.completed, 64);
-    assert!(outcome.cache_hits > 0, "repeated configs must hit the cache");
-    assert_eq!(
-        outcome.accepted,
-        outcome.done + outcome.rejected + outcome.queued + outcome.running
-    );
+    let s = &outcome.metrics.stats;
+    assert!(s.cache.hits > 0, "repeated configs must hit the cache");
+    assert_eq!(s.accepted, s.done + s.rejected + s.queued + s.running);
 
     // Simulated seconds accumulated for both suites (stretch >= 1).
     let mut client = Client::connect(&addr).unwrap();
@@ -260,8 +258,8 @@ fn flood_coalesces_identical_submits_and_reconciles_metrics() {
     })
     .unwrap();
     assert!(outcome.ok(), "flood problems: {:?}", outcome.problems);
-    assert!(outcome.reconciled, "metrics snapshot must reconcile");
-    assert!(outcome.coalesced > 0, "simultaneous identical submits must coalesce");
+    assert!(outcome.metrics.reconciled, "metrics snapshot must reconcile");
+    assert!(outcome.metrics.stats.coalesced > 0, "simultaneous identical submits must coalesce");
 
     // Exactly one simulation ran for the single unique configuration.
     let mut client = Client::connect(&addr).unwrap();

@@ -212,7 +212,7 @@ fn flood_at_1000_connections_returns_fd_count_to_baseline() {
     })
     .expect("flood");
     assert!(outcome.ok(), "flood problems: {:?}", outcome.problems);
-    assert!(outcome.reconciled, "counters must reconcile after the flood");
+    assert!(outcome.metrics.reconciled, "counters must reconcile after the flood");
 
     let mut observer = Client::connect(&addr).unwrap();
     let stats = await_quiescent(&mut observer, Duration::from_secs(30));
@@ -237,24 +237,33 @@ fn daemon_threads_carry_their_role_names() {
     let (addr, handle) =
         spawn_daemon(ServerConfig { workers: 2, dispatchers: 3, ..ServerConfig::default() });
     Client::connect(&addr).unwrap().submit("radabs", "sx4-9.2", &BTreeMap::new()).unwrap();
-    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
-        .expect("/proc/self/task")
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .map(|n| n.trim_end().to_string())
-        .filter(|n| n.starts_with("sxd-"))
-        .collect();
-    names.sort();
-    assert_eq!(
-        names,
-        [
-            "sxd-dispatch-0",
-            "sxd-dispatch-1",
-            "sxd-dispatch-2",
-            "sxd-reactor",
-            "sxd-worker-0",
-            "sxd-worker-1"
-        ]
-    );
+    let names = || {
+        let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|n| n.trim_end().to_string())
+            .filter(|n| n.starts_with("sxd-"))
+            .collect();
+        names.sort();
+        names
+    };
+    let want = [
+        "sxd-dispatch-0",
+        "sxd-dispatch-1",
+        "sxd-dispatch-2",
+        "sxd-reactor",
+        "sxd-worker-0",
+        "sxd-worker-1",
+    ];
+    // A thread takes its name when it first runs; until then it shows its
+    // creator's (a dispatcher not yet scheduled reads `sxd-reactor`).
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut seen = names();
+    while seen != want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        seen = names();
+    }
+    assert_eq!(seen, want);
     Client::connect(&addr).unwrap().shutdown().unwrap();
     handle.join().expect("daemon exits");
 }
