@@ -339,10 +339,12 @@ if ! wait "$cluster_pid"; then
 fi
 rm -rf "$cluster_dir" "$cluster_log"
 
-echo "==> release ledgers (batched-vs-loop equivalence, perfbench sim_charge golden check)"
-# The equivalence property tests — including charge-program record/replay —
-# must also hold under release-mode float optimization: bit-identical
-# ledgers are the whole point.
+echo "==> release ledgers (float fast-forward, batched-vs-loop equivalence, perfbench sim_charge golden check)"
+# The equivalence property tests — the ledgers' exact fast-forward of
+# repeated float addition (`add_repeated`), batched charges and
+# charge-program record/replay — must also hold under release-mode float
+# optimization: bit-identical ledgers are the whole point.
+cargo test --offline -q -p sxsim --release --lib add_repeated
 cargo test --offline -q -p sxsim --release --test batch_props
 cargo test --offline -q -p ccm-proxy --release program_tests
 cargo test --offline -q -p ocean-models --release program_tests

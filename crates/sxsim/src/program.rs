@@ -13,18 +13,24 @@
 //!
 //! ## The bit-identity contract
 //!
-//! Replay goes through the exact batched charge entry points the original
-//! call sites used ([`Vm::charge_vector_op_repeated`],
-//! [`Vm::charge_intrinsic_repeated`], …), so the `reps`-batching contract
-//! those methods guarantee extends to whole programs: after
-//! [`Vm::replay_program`] every f64 in the window and lifetime ledgers,
-//! every [`OpStats`](crate::OpStats) counter (including timing-memo
-//! hit/miss accounting) and every trace event is **bit-identical** to a
-//! `Vm` that executed the original charge calls one by one. Run-length
-//! coalescing preserves this: `repeated(op, a)` directly followed by
-//! `repeated(op, b)` charges and accounts exactly like `repeated(op, a+b)`
-//! (the second call's single memo lookup hits the slot the first call
-//! filled, matching the `a+b-1` forced hits of the fused call).
+//! After [`Vm::replay_program`] every f64 in the window and lifetime
+//! ledgers, every [`OpStats`](crate::OpStats) counter (including
+//! timing-memo hit/miss accounting) and every trace event is
+//! **bit-identical** to a `Vm` that executed the original charge calls one
+//! by one. Each instruction resolves its cost once and charges all `reps`
+//! through the same ledger accumulator the batched entry points
+//! ([`Vm::charge_vector_op_repeated`], [`Vm::charge_intrinsic_repeated`])
+//! use — scalar-loop and raw runs included. That accumulator keeps the
+//! floats exact without iterating `reps` times: a run of up to a few dozen
+//! charges takes the plain loop of additions, and a longer one takes an
+//! exact fast-forward of that loop, which advances the sum a whole binade
+//! at a time by integer arithmetic on its bit pattern, bit for bit what
+//! the loop would produce. Integer fields scale, and trace events are still
+//! pushed one per charge. Run-length coalescing preserves the contract:
+//! `repeated(op, a)` directly followed by `repeated(op, b)` charges and
+//! accounts exactly like `repeated(op, a+b)` (the second call's single
+//! memo lookup hits the slot the first call filled, matching the `a+b-1`
+//! forced hits of the fused call).
 //!
 //! [`Vm::replay_program_scaled`] additionally multiplies every
 //! instruction's repetition count by a scale factor: `replay_scaled(p, k)`
@@ -134,6 +140,7 @@ impl ChargeProgram {
         stores: f64,
         branches: Option<f64>,
         pattern: LocalityPattern,
+        reps: usize,
     ) {
         // f64 parameters compare by value; call sites pass literals, never
         // NaN, so equality is exactly "the same descriptor".
@@ -144,7 +151,7 @@ impl ChargeProgram {
             stores: ls,
             branches: lb,
             pattern: lp,
-            reps,
+            reps: r,
         }) = self.ops.last_mut()
         {
             if *li == iters
@@ -154,7 +161,7 @@ impl ChargeProgram {
                 && *lb == branches
                 && *lp == pattern
             {
-                *reps += 1;
+                *r += reps;
                 return;
             }
         }
@@ -165,18 +172,18 @@ impl ChargeProgram {
             stores,
             branches,
             pattern,
-            reps: 1,
+            reps,
         });
     }
 
-    pub(crate) fn push_raw(&mut self, cost: Cost) {
-        if let Some(ProgramOp::Raw { cost: lc, reps }) = self.ops.last_mut() {
+    pub(crate) fn push_raw(&mut self, cost: Cost, reps: usize) {
+        if let Some(ProgramOp::Raw { cost: lc, reps: r }) = self.ops.last_mut() {
             if *lc == cost {
-                *reps += 1;
+                *r += reps;
                 return;
             }
         }
-        self.ops.push(ProgramOp::Raw { cost, reps: 1 });
+        self.ops.push(ProgramOp::Raw { cost, reps });
     }
 }
 

@@ -7,7 +7,7 @@
 //! with loop structures the facade cannot express do their math natively
 //! and charge via [`Vm::charge_vector_op`] / [`Vm::charge_scalar_loop`].
 
-use crate::cost::Cost;
+use crate::cost::{add_repeated, Cost, SHORT_RUN};
 use crate::model::{Intrinsic, MachineModel, VopClass};
 use crate::proginf::{OpStats, Proginf};
 use crate::program::{ChargeProgram, ProgramOp};
@@ -57,6 +57,14 @@ impl CostMemo {
         }
         (h % MEMO_SLOTS as u64) as usize
     }
+}
+
+/// The [`OpStats`] cycle counter a charge lands in.
+#[derive(Clone, Copy)]
+enum Bucket {
+    Vector,
+    Scalar,
+    Other,
 }
 
 /// A simulated processor executing real array operations while accounting
@@ -177,22 +185,17 @@ impl Vm {
                     self.charge_intrinsic_repeated(*f, *n, reps * scale);
                 }
                 ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern, reps } => {
-                    for _ in 0..reps * scale {
-                        match branches {
-                            Some(b) => self.charge_scalar_loop_branchy(
-                                *iters, *flops, *loads, *stores, *b, *pattern,
-                            ),
-                            None => {
-                                self.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern)
-                            }
-                        }
-                    }
+                    self.charge_scalar_loop_repeated(
+                        *iters,
+                        *flops,
+                        *loads,
+                        *stores,
+                        *branches,
+                        *pattern,
+                        reps * scale,
+                    );
                 }
-                ProgramOp::Raw { cost, reps } => {
-                    for _ in 0..reps * scale {
-                        self.charge(*cost);
-                    }
-                }
+                ProgramOp::Raw { cost, reps } => self.charge_raw_repeated(*cost, reps * scale),
             }
         }
     }
@@ -238,15 +241,69 @@ impl Vm {
         std::mem::take(&mut self.cost)
     }
 
+    /// Advance both ledgers and one [`OpStats`] cycle counter by `reps`
+    /// charges of `c`. The float fields end bit-identical to `reps`
+    /// sequential [`Cost::add`]s: short runs take that loop, fused over
+    /// the five accumulators, and longer ones take [`add_repeated`]'s
+    /// exact fast-forward. The integer fields scale.
+    fn accumulate(&mut self, c: Cost, reps: usize, bucket: Bucket) {
+        let sink = match bucket {
+            Bucket::Vector => &mut self.stats.vector_cycles,
+            Bucket::Scalar => &mut self.stats.scalar_cycles,
+            Bucket::Other => &mut self.stats.other_cycles,
+        };
+        let (window, life) = (&mut self.cost, &mut self.lifetime);
+        if reps <= SHORT_RUN {
+            for _ in 0..reps {
+                window.cycles += c.cycles;
+                window.cray_flops += c.cray_flops;
+                life.cycles += c.cycles;
+                life.cray_flops += c.cray_flops;
+                *sink += c.cycles;
+            }
+        } else {
+            window.cycles = add_repeated(window.cycles, c.cycles, reps);
+            window.cray_flops = add_repeated(window.cray_flops, c.cray_flops, reps);
+            life.cycles = add_repeated(life.cycles, c.cycles, reps);
+            life.cray_flops = add_repeated(life.cray_flops, c.cray_flops, reps);
+            *sink = add_repeated(*sink, c.cycles, reps);
+        }
+        let r = reps as u64;
+        for ledger in [window, life] {
+            ledger.flops += c.flops * r;
+            ledger.bytes += c.bytes * r;
+        }
+    }
+
+    /// `reps` sweeps of cost `c` over `n` elements: vector operations on a
+    /// vector machine, scalar iterations on the others.
+    fn charge_sweeps(&mut self, c: Cost, n: usize, reps: usize) {
+        if self.model.is_vector() {
+            self.accumulate(c, reps, Bucket::Vector);
+            self.stats.vector_ops += reps as u64;
+            self.stats.vector_elements += (n * reps) as u64;
+        } else {
+            self.accumulate(c, reps, Bucket::Scalar);
+            self.stats.scalar_iters += (n * reps) as u64;
+        }
+    }
+
     /// Charge an arbitrary pre-computed cost (used by substrate models:
     /// I/O waits, barriers, OS overhead).
     pub fn charge(&mut self, c: Cost) {
-        self.cost.add(c);
-        self.lifetime.add(c);
-        self.stats.other_cycles += c.cycles;
-        self.trace_event(|| TraceEvent::Charge { cost: c });
+        self.charge_raw_repeated(c, 1);
+    }
+
+    /// `reps` identical raw charges.
+    fn charge_raw_repeated(&mut self, c: Cost, reps: usize) {
+        self.accumulate(c, reps, Bucket::Other);
+        if self.trace.is_some() {
+            for _ in 0..reps {
+                self.trace_event(|| TraceEvent::Charge { cost: c });
+            }
+        }
         if let Some(p) = self.program.as_mut() {
-            p.push_raw(c);
+            p.push_raw(c, reps);
         }
     }
 
@@ -257,11 +314,12 @@ impl Vm {
     }
 
     /// Charge `reps` identical vector operations: the analytic cost is
-    /// resolved once (through the memo) and the ledger advanced `reps`
-    /// times. The result — every float accumulator, every counter, the
-    /// trace — is bit-identical to calling [`Vm::charge_vector_op`] in a
-    /// loop; floats are accumulated iteratively because repeated addition
-    /// is not multiplication, while the exact integer fields scale.
+    /// resolved once (through the memo) and charged `reps` times. The
+    /// result — every float accumulator, every counter, the trace — is
+    /// bit-identical to calling [`Vm::charge_vector_op`] in a loop. Repeated
+    /// float addition is not multiplication, so the float ledgers advance
+    /// by an exact fast-forward of that loop (O(binades) steps, not
+    /// O(`reps`)); the integer fields scale.
     pub fn charge_vector_op_repeated(&mut self, op: &VecOp, reps: usize) {
         if reps == 0 {
             return;
@@ -273,28 +331,7 @@ impl Vm {
         // The loop of single charges would hit the freshly filled slot on
         // every iteration after the first; mirror that accounting.
         self.stats.memo_hits += (reps - 1) as u64;
-        for _ in 0..reps {
-            self.cost.cycles += c.cycles;
-            self.cost.cray_flops += c.cray_flops;
-            self.lifetime.cycles += c.cycles;
-            self.lifetime.cray_flops += c.cray_flops;
-        }
-        self.cost.flops += c.flops * reps as u64;
-        self.cost.bytes += c.bytes * reps as u64;
-        self.lifetime.flops += c.flops * reps as u64;
-        self.lifetime.bytes += c.bytes * reps as u64;
-        if self.model.is_vector() {
-            self.stats.vector_ops += reps as u64;
-            self.stats.vector_elements += (op.n * reps) as u64;
-            for _ in 0..reps {
-                self.stats.vector_cycles += c.cycles;
-            }
-        } else {
-            self.stats.scalar_iters += (op.n * reps) as u64;
-            for _ in 0..reps {
-                self.stats.scalar_cycles += c.cycles;
-            }
-        }
+        self.charge_sweeps(c, op.n, reps);
         let indexed = op
             .loads
             .iter()
@@ -324,15 +361,7 @@ impl Vm {
         stores: f64,
         pattern: LocalityPattern,
     ) {
-        let c = timing::scalar_loop(&self.model, iters, flops, loads, stores, pattern);
-        self.cost.add(c);
-        self.lifetime.add(c);
-        self.stats.scalar_cycles += c.cycles;
-        self.stats.scalar_iters += iters as u64;
-        self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
-        if let Some(p) = self.program.as_mut() {
-            p.push_scalar_loop(iters, flops, loads, stores, None, pattern);
-        }
+        self.charge_scalar_loop_repeated(iters, flops, loads, stores, None, pattern, 1);
     }
 
     /// Charge a control-heavy scalar loop with explicit branches per
@@ -347,22 +376,37 @@ impl Vm {
         branches: f64,
         pattern: LocalityPattern,
     ) {
-        let c = timing::scalar_loop_branchy(
-            &self.model,
-            iters,
-            flops,
-            loads,
-            stores,
-            branches,
-            pattern,
-        );
-        self.cost.add(c);
-        self.lifetime.add(c);
-        self.stats.scalar_cycles += c.cycles;
-        self.stats.scalar_iters += iters as u64;
-        self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
+        self.charge_scalar_loop_repeated(iters, flops, loads, stores, Some(branches), pattern, 1);
+    }
+
+    /// `reps` identical scalar loops, resolved once; `branches` selects
+    /// the branchy variant.
+    #[allow(clippy::too_many_arguments)]
+    fn charge_scalar_loop_repeated(
+        &mut self,
+        iters: usize,
+        flops: f64,
+        loads: f64,
+        stores: f64,
+        branches: Option<f64>,
+        pattern: LocalityPattern,
+        reps: usize,
+    ) {
+        let c = match branches {
+            Some(b) => {
+                timing::scalar_loop_branchy(&self.model, iters, flops, loads, stores, b, pattern)
+            }
+            None => timing::scalar_loop(&self.model, iters, flops, loads, stores, pattern),
+        };
+        self.accumulate(c, reps, Bucket::Scalar);
+        self.stats.scalar_iters += (iters * reps) as u64;
+        if self.trace.is_some() {
+            for _ in 0..reps {
+                self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
+            }
+        }
         if let Some(p) = self.program.as_mut() {
-            p.push_scalar_loop(iters, flops, loads, stores, Some(branches), pattern);
+            p.push_scalar_loop(iters, flops, loads, stores, branches, pattern, reps);
         }
     }
 
@@ -372,8 +416,9 @@ impl Vm {
     }
 
     /// Charge `reps` identical intrinsic sweeps of `n` calls each: cost
-    /// computed once, ledger advanced `reps` times, bit-identical to the
-    /// equivalent loop of [`Vm::charge_intrinsic`] calls.
+    /// resolved once and charged `reps` times, bit-identical to the
+    /// equivalent loop of [`Vm::charge_intrinsic`] calls by the same exact
+    /// fast-forward as [`Vm::charge_vector_op_repeated`].
     pub fn charge_intrinsic_repeated(&mut self, f: Intrinsic, n: usize, reps: usize) {
         if reps == 0 {
             return;
@@ -382,29 +427,8 @@ impl Vm {
             p.push_intrinsic(f, n, reps);
         }
         let c = timing::intrinsic_op(&self.model, f, n);
-        for _ in 0..reps {
-            self.cost.cycles += c.cycles;
-            self.cost.cray_flops += c.cray_flops;
-            self.lifetime.cycles += c.cycles;
-            self.lifetime.cray_flops += c.cray_flops;
-        }
-        self.cost.flops += c.flops * reps as u64;
-        self.cost.bytes += c.bytes * reps as u64;
-        self.lifetime.flops += c.flops * reps as u64;
-        self.lifetime.bytes += c.bytes * reps as u64;
         self.stats.intrinsic_calls += (n * reps) as u64;
-        if self.model.is_vector() {
-            self.stats.vector_ops += reps as u64;
-            self.stats.vector_elements += (n * reps) as u64;
-            for _ in 0..reps {
-                self.stats.vector_cycles += c.cycles;
-            }
-        } else {
-            self.stats.scalar_iters += (n * reps) as u64;
-            for _ in 0..reps {
-                self.stats.scalar_cycles += c.cycles;
-            }
-        }
+        self.charge_sweeps(c, n, reps);
         if self.trace.is_some() {
             for _ in 0..reps {
                 self.trace_event(|| TraceEvent::Intrinsic { f, n, cost: c });

@@ -82,6 +82,7 @@ impl Gen {
                 stores: self.amount(),
                 branches: if self.usize_in(0, 2) == 0 { None } else { Some(self.amount()) },
                 pattern: self.pattern(),
+                reps: 1,
             },
             _ => Charge::Raw {
                 cost: Cost {
@@ -90,7 +91,34 @@ impl Gen {
                     cray_flops: self.usize_in(0, 1_000_000) as f64,
                     bytes: self.next() % (1 << 20),
                 },
+                reps: 1,
             },
+        }
+    }
+
+    /// Log-uniform in [49, max]: runs long enough to leave the batched
+    /// paths' short-run loop.
+    fn long_reps(&mut self, max: usize) -> usize {
+        let (lo, hi) = (49f64.ln(), (max as f64).ln());
+        let r = (lo + (hi - lo) * self.usize_in(0, 10_001) as f64 / 10_000.0).exp() as usize;
+        r.clamp(49, max)
+    }
+
+    /// A charge descriptor repeated a long run of times: up to
+    /// `max_batched` for the batched vector and intrinsic entry points,
+    /// up to `max_calls` for scalar loops and raw charges, which callers
+    /// issue one call at a time.
+    fn long_charge(&mut self, max_batched: usize, max_calls: usize) -> Charge {
+        match self.charge_desc() {
+            Charge::Vector { op, .. } => Charge::Vector { op, reps: self.long_reps(max_batched) },
+            Charge::Intrinsic { f, n, .. } => {
+                Charge::Intrinsic { f, n, reps: self.long_reps(max_batched) }
+            }
+            Charge::Scalar { iters, flops, loads, stores, branches, pattern, .. } => {
+                let reps = self.long_reps(max_calls);
+                Charge::Scalar { iters, flops, loads, stores, branches, pattern, reps }
+            }
+            Charge::Raw { cost, .. } => Charge::Raw { cost, reps: self.long_reps(max_calls) },
         }
     }
 
@@ -119,9 +147,11 @@ enum Charge {
         stores: f64,
         branches: Option<f64>,
         pattern: LocalityPattern,
+        reps: usize,
     },
     Raw {
         cost: Cost,
+        reps: usize,
     },
 }
 
@@ -132,13 +162,25 @@ impl Charge {
         match self {
             Charge::Vector { op, reps } => vm.charge_vector_op_repeated(op, *reps),
             Charge::Intrinsic { f, n, reps } => vm.charge_intrinsic_repeated(*f, *n, *reps),
-            Charge::Scalar { iters, flops, loads, stores, branches, pattern } => match branches {
-                Some(b) => {
-                    vm.charge_scalar_loop_branchy(*iters, *flops, *loads, *stores, *b, *pattern)
+            Charge::Scalar { reps, .. } | Charge::Raw { reps, .. } => {
+                for _ in 0..*reps {
+                    self.issue_one(vm);
                 }
-                None => vm.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern),
-            },
-            Charge::Raw { cost } => vm.charge(*cost),
+            }
+        }
+    }
+
+    /// One scalar-loop or raw charge call.
+    fn issue_one(&self, vm: &mut Vm) {
+        match self {
+            Charge::Scalar { iters, flops, loads, stores, branches: Some(b), pattern, .. } => {
+                vm.charge_scalar_loop_branchy(*iters, *flops, *loads, *stores, *b, *pattern)
+            }
+            Charge::Scalar { iters, flops, loads, stores, branches: None, pattern, .. } => {
+                vm.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern)
+            }
+            Charge::Raw { cost, .. } => vm.charge(*cost),
+            _ => unreachable!("vector and intrinsic charges are batched"),
         }
     }
 
@@ -157,19 +199,9 @@ impl Charge {
                     vm.charge_intrinsic(*f, *n);
                 }
             }
-            Charge::Scalar { iters, flops, loads, stores, branches, pattern } => {
-                for _ in 0..scale {
-                    match branches {
-                        Some(b) => vm.charge_scalar_loop_branchy(
-                            *iters, *flops, *loads, *stores, *b, *pattern,
-                        ),
-                        None => vm.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern),
-                    }
-                }
-            }
-            Charge::Raw { cost } => {
-                for _ in 0..scale {
-                    vm.charge(*cost);
+            Charge::Scalar { reps, .. } | Charge::Raw { reps, .. } => {
+                for _ in 0..reps * scale {
+                    self.issue_one(vm);
                 }
             }
         }
@@ -220,10 +252,31 @@ fn assert_vms_identical(batch: &mut Vm, single: &mut Vm, ctx: &str) {
         pb.timing_memo_hit_pct,
         &format!("{ctx}: proginf.timing_memo_hit_pct"),
     );
-    let (ta, tb) = (batch.take_trace().unwrap(), single.take_trace().unwrap());
-    assert_eq!(ta.len(), tb.len(), "{ctx}: trace length");
-    assert_eq!(ta.events(), tb.events(), "{ctx}: trace events");
+    match (batch.take_trace(), single.take_trace()) {
+        (Some(ta), Some(tb)) => {
+            assert_eq!(ta.len(), tb.len(), "{ctx}: trace length");
+            assert_eq!(ta.events(), tb.events(), "{ctx}: trace events");
+        }
+        (None, None) => {}
+        _ => panic!("{ctx}: only one side was traced"),
+    }
 }
+
+/// Give `vm` a ledger history: `history` issued op by op, then, if
+/// `reset`, the window taken so that it and the lifetime ledger start the
+/// next charge from different sums.
+fn preload(vm: &mut Vm, history: &[Charge], reset: bool) {
+    for c in history {
+        c.issue_singles(vm, 1);
+    }
+    if reset {
+        vm.take_cost();
+    }
+}
+
+/// Runs at most this long are traced: the trace holds one event per
+/// charge, and the long-run cases would otherwise allocate millions.
+const TRACE_MAX: usize = 4096;
 
 /// One batched charge is bit-identical to the loop of single charges, on
 /// every machine, for arbitrary descriptors and repeat counts (including
@@ -431,5 +484,109 @@ fn scaled_replay_matches_the_scaled_call_sequence() {
             replay.replay_program_scaled(&program, scale);
             assert_vms_identical(&mut replay, &mut single, &ctx);
         }
+    }
+}
+
+/// Long runs from loaded ledgers: one batched vector or intrinsic charge
+/// of 49 to 10^6 reps, issued after a random charge history, is
+/// bit-identical to the loop of single charges. Only runs this long take
+/// the float ledgers' fast-forward, and only a loaded ledger starts it
+/// mid-binade.
+#[test]
+fn long_batched_charges_from_loaded_ledgers_equal_the_loop() {
+    let mut g = Gen(18);
+    let ms = machines();
+    for case in 0..96 {
+        let m = &ms[case % ms.len()];
+        let history = g.sequence();
+        let reset = g.usize_in(0, 2) == 0;
+        let reps = g.long_reps(1_000_000);
+        let charge = if g.usize_in(0, 2) == 0 {
+            Charge::Vector { op: g.vec_op(), reps }
+        } else {
+            Charge::Intrinsic { f: g.intrinsic(), n: g.usize_in(1, 50_000), reps }
+        };
+        let (mut batch, mut single) = (Vm::new(m.clone()), Vm::new(m.clone()));
+        preload(&mut batch, &history, reset);
+        preload(&mut single, &history, reset);
+        if reps <= TRACE_MAX {
+            batch.start_trace();
+            single.start_trace();
+        }
+        charge.issue(&mut batch);
+        charge.issue_singles(&mut single, 1);
+        let ctx = format!("case {case} ({} reps={reps} reset={reset})", m.name);
+        assert_vms_identical(&mut batch, &mut single, &ctx);
+    }
+}
+
+/// Long runs through replay, from loaded ledgers: a program of long
+/// vector, intrinsic, scalar-loop and raw runs, replayed scaled on a `Vm`
+/// with a charge history, is bit-identical to the op-by-op loop — ledgers,
+/// counters, memo accounting and trace. A program re-recorded during that
+/// replay is the original with every run scaled, and replaying it in turn
+/// matches the same loop.
+#[test]
+fn long_replays_from_loaded_ledgers_equal_op_by_op() {
+    let mut g = Gen(19);
+    let ms = machines();
+    for case in 0..48 {
+        let m = &ms[case % ms.len()];
+        let scale = [1usize, 2, 7][g.usize_in(0, 3)];
+        let seq: Vec<Charge> = (0..g.usize_in(1, 5))
+            .map(|_| g.long_charge(1_000_000 / scale, 20_000 / scale))
+            .collect();
+        let history = g.sequence();
+        let reset = g.usize_in(0, 2) == 0;
+        let events: usize = seq
+            .iter()
+            .map(|c| match c {
+                Charge::Vector { reps, .. }
+                | Charge::Intrinsic { reps, .. }
+                | Charge::Scalar { reps, .. }
+                | Charge::Raw { reps, .. } => reps * scale,
+            })
+            .sum();
+        let traced = events <= TRACE_MAX;
+        let ctx = format!("case {case} ({} scale={scale} charges={events})", m.name);
+
+        let mut single = Vm::new(m.clone());
+        preload(&mut single, &history, reset);
+        if traced {
+            single.start_trace();
+        }
+        for c in &seq {
+            c.issue_singles(&mut single, scale);
+        }
+
+        let mut recorder = Vm::new(m.clone());
+        recorder.start_program_record();
+        for c in &seq {
+            c.issue(&mut recorder);
+        }
+        let program = recorder.take_program().expect("recording was active");
+
+        let mut replay = Vm::new(m.clone());
+        preload(&mut replay, &history, reset);
+        if traced {
+            replay.start_trace();
+        }
+        replay.start_program_record();
+        replay.replay_program_scaled(&program, scale);
+        let rerecorded = replay.take_program().expect("re-recording was active");
+        let mut reference = single.clone();
+        assert_vms_identical(&mut replay, &mut single, &format!("{ctx}: scaled replay"));
+
+        assert_eq!(rerecorded.len(), program.len(), "{ctx}: re-recorded length");
+        for (a, b) in rerecorded.ops().iter().zip(program.ops()) {
+            assert_eq!(a.reps(), b.reps() * scale, "{ctx}: re-recorded reps");
+        }
+        let mut again = Vm::new(m.clone());
+        preload(&mut again, &history, reset);
+        if traced {
+            again.start_trace();
+        }
+        again.replay_program(&rerecorded);
+        assert_vms_identical(&mut again, &mut reference, &format!("{ctx}: re-recorded replay"));
     }
 }
