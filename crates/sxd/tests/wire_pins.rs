@@ -5,7 +5,9 @@
 //! gauge-free field and connection tally is deterministic. The cluster
 //! merge is pinned on the fixed member fixtures the merge has always been
 //! tested with. Any change to a field name, its order, or an integer
-//! counter printing as a float shows here.
+//! counter printing as a float shows here. The two framing-error replies
+//! and the shutdown and drain acks are pinned from both a daemon and a
+//! router, since the two endpoints must build them the same way.
 
 use std::path::PathBuf;
 
@@ -283,4 +285,60 @@ fn merged_metrics_bytes_are_pinned() {
     assert_eq!(merged, MERGED_RATIO_IDLE);
     let merged = merged_metrics(&[Json::parse(LYING_MEMBER).unwrap()]);
     assert_eq!(merged, MERGED_LYING);
+}
+
+/// The replies a daemon and a router build the same way: the two framing
+/// errors (answered before any request parses, then the connection
+/// closes) and the shutdown and drain acks.
+const FRAME_TOO_LONG: &str = concat!(
+    r#"{"ok":false,"error":{"kind":"frame_too_long","#,
+    r#""detail":"frame of 65537+ bytes exceeds the 65536-byte cap"}}"#,
+);
+const NOT_UTF8: &str =
+    r#"{"ok":false,"error":{"kind":"bad_json","detail":"frame is not valid UTF-8"}}"#;
+const SHUTDOWN_ACK: &str = r#"{"ok":true,"shutting_down":true}"#;
+const DRAIN_ACK: &str = r#"{"ok":true,"draining":true,"deadline_ms":1500}"#;
+/// The two ways to end an endpoint, each with its ack.
+const EXITS: [(&str, &str); 2] =
+    [(r#"{"op":"shutdown"}"#, SHUTDOWN_ACK), (r#"{"op":"drain","deadline_ms":1500}"#, DRAIN_ACK)];
+
+/// Send `bytes` on a fresh connection and read one reply line.
+fn raw_bytes_reply(addr: &str, bytes: &[u8]) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let mut sock = std::net::TcpStream::connect(addr).unwrap();
+    sock.write_all(bytes).unwrap();
+    let mut line = String::new();
+    BufReader::new(sock).read_line(&mut line).unwrap();
+    line.trim_end_matches('\n').to_string()
+}
+
+/// Pin both framing errors on `addr`, then end the endpoint with `exit`
+/// and pin its ack.
+fn pin_shared_replies(addr: &str, exit: &str, ack: &str) {
+    let mut big = vec![b'x'; sxd::MAX_REQUEST_FRAME + 1];
+    big.push(b'\n');
+    assert_eq!(raw_bytes_reply(addr, &big), FRAME_TOO_LONG);
+    assert_eq!(raw_bytes_reply(addr, b"\xff\xfe{}\n"), NOT_UTF8);
+    assert_eq!(Client::connect(addr).unwrap().raw(exit).unwrap(), ack);
+}
+
+#[test]
+fn daemon_error_and_ack_reply_bytes_are_pinned() {
+    for (exit, ack) in EXITS {
+        let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let daemon = std::thread::spawn(move || server.run());
+        pin_shared_replies(&addr, exit, ack);
+        daemon.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn router_error_and_ack_reply_bytes_are_pinned() {
+    for (exit, ack) in EXITS {
+        let cluster =
+            spawn(toy_registry(), ClusterConfig { shards: 2, ..ClusterConfig::default() }).unwrap();
+        pin_shared_replies(&cluster.addr().to_string(), exit, ack);
+        cluster.join().unwrap();
+    }
 }
