@@ -339,6 +339,13 @@ if ! wait "$cluster_pid"; then
 fi
 rm -rf "$cluster_dir" "$cluster_log"
 
+echo "==> perfbench serve_mixed (the router end to end: every routed hit byte-identical, every miss correct)"
+# Open-loop hits and fresh misses through a 2-member router; perfbench
+# exits 1 on any wrong reply. Ten seconds collect enough routed hits for
+# a p99 on a 2-core host (5 s falls short and exits 1; 8 s is the floor).
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_mixed --seed 7 --seconds 10 --trace 0
+
 echo "==> release ledgers (float fast-forward, batched-vs-loop equivalence, perfbench sim_charge golden check)"
 # The equivalence property tests — the ledgers' exact fast-forward of
 # repeated float addition (`add_repeated`), batched charges and

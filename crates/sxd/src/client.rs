@@ -38,21 +38,41 @@ impl Client {
         Client::over(TcpStream::connect(addr).map_err(SxdError::io)?)
     }
 
+    /// Every connection sets `TCP_NODELAY`: frames are small and often
+    /// sent back-to-back, so Nagle must never hold one for the previous
+    /// one's ACK.
     fn over(writer: TcpStream) -> Result<Client, SxdError> {
+        let _ = writer.set_nodelay(true);
         let reader = BufReader::new(writer.try_clone().map_err(SxdError::io)?);
         Ok(Client { reader, writer })
     }
 
     /// [`Client::connect`] with bounded exponential backoff: up to
-    /// `attempts` tries, `base` doubling up to one second between them,
-    /// then the terminal [`SxdError::Retries`]. Exists for startup races —
-    /// `flood` aimed at a daemon whose listener is not up yet.
+    /// `attempts` tries, sleeping `base`, `2·base`, `4·base`, … (capped at
+    /// one second) between failures. Exists for startup races — `flood`
+    /// aimed at a daemon whose listener is not up yet, or a router dialing
+    /// members that are still binding. Exhaustion is the *terminal* typed
+    /// error [`SxdError::Retries`]: the caller has already waited through
+    /// the whole schedule, so there is no point retrying the error itself.
     pub fn connect_with_retry(
         addr: &str,
         attempts: usize,
         base: Duration,
     ) -> Result<Client, SxdError> {
-        Client::over(dial(addr, attempts, base)?)
+        let attempts = attempts.max(1);
+        let mut delay = base;
+        let mut last = String::new();
+        for attempt in 0..attempts {
+            match TcpStream::connect(addr) {
+                Ok(s) => return Client::over(s),
+                Err(e) => last = e.to_string(),
+            }
+            if attempt + 1 < attempts {
+                std::thread::sleep(delay);
+                delay = (delay * 2).min(Duration::from_secs(1));
+            }
+        }
+        Err(SxdError::Retries { attempts, detail: format!("{addr}: {last}") })
     }
 
     /// Send one raw line and return the raw reply line. The building block
@@ -236,29 +256,6 @@ impl Client {
         let req = Request::Put { key, payload: payload.to_string() };
         self.roundtrip(&req.to_line()).map(|_| ())
     }
-}
-
-/// Connect with bounded exponential backoff: up to `attempts` tries,
-/// sleeping `base`, `2·base`, `4·base`, … (capped at one second) between
-/// failures — for startup races, such as a router dialing members that are
-/// still binding. Exhaustion is the *terminal* typed error
-/// [`SxdError::Retries`]: the caller has already waited through the whole
-/// schedule, so there is no point retrying the error itself.
-pub(crate) fn dial(addr: &str, attempts: usize, base: Duration) -> Result<TcpStream, SxdError> {
-    let attempts = attempts.max(1);
-    let mut delay = base;
-    let mut last = String::new();
-    for attempt in 0..attempts {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = e.to_string(),
-        }
-        if attempt + 1 < attempts {
-            std::thread::sleep(delay);
-            delay = (delay * 2).min(Duration::from_secs(1));
-        }
-    }
-    Err(SxdError::Retries { attempts, detail: format!("{addr}: {last}") })
 }
 
 /// The one reply decoder: parse the line (a parse failure is `BadJson`

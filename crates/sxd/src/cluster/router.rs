@@ -12,17 +12,19 @@
 //! submits of the drained member's keys still hit — byte-identically.
 //!
 //! The router serves on the same [`ncar_suite::reactor`] event loop as
-//! the member daemons. Forwarding rides *multiplexed* member connections:
-//! one socket per member, shared by every client request, with a reader
-//! thread per member pairing replies to requests in wire order. A forward
-//! registers its reply waiter and writes its frame in one atomic step
-//! under the member's `sxd.router.mux` lock, then awaits the reply off
-//! every lock — so N concurrent forwards to one member pipeline into a
-//! single socket instead of paying one connection (and one serial round
-//! trip) each. Fan-out verbs (`stats`/`metrics`) and the drain hand-off's
-//! `put` replication use the same machinery in two phases: send
-//! everything, then collect everything, turning N round trips into one
-//! send burst plus one collect sweep.
+//! the member daemons. Forwards run on dispatcher threads over *pooled*
+//! member connections: each member has a list of idle [`Client`]s. A
+//! forward pops one (or dials), makes one round trip with no lock held,
+//! and pushes it back. Concurrent forwards to one member therefore each
+//! hold their own socket, so a cache hit never waits behind a slow miss
+//! the member is still answering on another connection. The pool needs
+//! no cap: it never holds more connections than there were concurrent
+//! forwards, at most the router's dispatcher count. A failed round drops
+//! its connection and retries once on a fresh dial (a pooled connection
+//! may have been idle-closed by its member); a second failure is a typed
+//! `ShardUnavailable`, counted in `unavailable`. Fan-out verbs
+//! (`stats`/`metrics`) and the drain hand-off's `put` replication are
+//! plain loops over the same forward.
 //!
 //! Each frame is parsed once, by the router's `classify` on the reactor
 //! thread. `route` and parse errors are pure ring math — no member I/O —
@@ -30,19 +32,17 @@
 //! `fastpath_hits`); every other request reaches a dispatcher together
 //! with its raw frame, which `submit` and `put` forward verbatim.
 //!
-//! The router's long-lived locks (`sxd.router.members`,
-//! `sxd.router.handles`, `sxd.router.counters`, `sxd.router.reactor`,
-//! and the per-member `sxd.router.mux` slots) are all leaves: none is
-//! ever held while acquiring another. Dials, joins and reply waits are
-//! declared via `lockreg::blocking_io` with no lock held; the one
-//! exemption is the mux frame write itself, which — like the journal's
-//! append — holds exactly the lock that *is* the wire-order guard.
+//! The router's locks (`sxd.router.members`, `sxd.router.handles`,
+//! `sxd.router.counters`, `sxd.router.reactor`, and the per-member
+//! `sxd.router.pool` lists) are all leaves: none is ever held while
+//! acquiring another, and none is held across IO. Dials, round trips,
+//! joins and the hand-off are declared via `lockreg::blocking_io`.
 
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -54,10 +54,10 @@ use ncar_suite::{plock_named, Json};
 use sxsim::presets;
 
 use super::ring::Ring;
-use crate::client::{dial, Client};
+use crate::client::Client;
 use crate::error::SxdError;
 use crate::journal::{self, Journal};
-use crate::proto::{cache_key, read_frame, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
+use crate::proto::{cache_key, drain_ack, shutdown_ack, Request, MAX_REQUEST_FRAME};
 use crate::server::run_named_reactor;
 use crate::stats::{ConnStats, Metrics, RouterStats, Stats};
 
@@ -90,25 +90,12 @@ struct MemberSlot {
     alive: bool,
 }
 
-/// One multiplexed member connection: the shared writer half, plus the
-/// queue handing each request's reply waiter to the reader thread. Reply
-/// pairing is positional — waiters are registered in the same order their
-/// frames hit the wire (both under the `sxd.router.mux` lock), and the
-/// member answers each connection strictly in request order.
-struct MuxState {
-    writer: TcpStream,
-    waiters: mpsc::Sender<ReplyTx>,
-}
-
-type ReplyTx = mpsc::Sender<Result<String, SxdError>>;
-type ReplyRx = mpsc::Receiver<Result<String, SxdError>>;
-
 struct RouterInner {
     ring: Ring,
     members: Mutex<Vec<MemberSlot>>,
-    /// Multiplexed member connections, one slot per member, each guarded
-    /// by its own `sxd.router.mux` lock (a leaf; see module docs).
-    muxes: Vec<Mutex<Option<MuxState>>>,
+    /// Idle member connections, one list per member, each guarded by its
+    /// own `sxd.router.pool` lock (a leaf; see module docs).
+    pool: Vec<Mutex<Vec<Client>>>,
     /// Join handles for in-process members, one slot per member.
     handles: Mutex<Vec<MemberHandle>>,
     /// The router's tallies; `conns` and the member counts are filled in
@@ -155,7 +142,7 @@ impl Router {
         let listener = TcpListener::bind(addr).map_err(SxdError::io)?;
         let local = listener.local_addr().map_err(SxdError::io)?;
         let ring = Ring::new(members.iter().map(|m| m.name.clone()).collect::<Vec<_>>());
-        let muxes = members.iter().map(|_| Mutex::new(None)).collect();
+        let pool = members.iter().map(|_| Mutex::new(Vec::new())).collect();
         let slots = members
             .into_iter()
             .map(|m| MemberSlot { addr: m.addr, state_dir: m.state_dir, alive: true })
@@ -165,7 +152,7 @@ impl Router {
             inner: Arc::new(RouterInner {
                 ring,
                 members: Mutex::new(slots),
-                muxes,
+                pool,
                 handles: Mutex::new(handles),
                 counters: Mutex::new(RouterStats::default()),
                 reactor: Mutex::new(None),
@@ -210,12 +197,7 @@ impl Router {
         }
         let res = run_named_reactor(reactor);
         *plock_named(&inner.reactor, "sxd.router.reactor") = None;
-        // Retire the member muxes (their reader threads exit on the
-        // socket shutdown), then join whatever member threads a shutdown
-        // fan-out left running.
-        for idx in 0..inner.ring.len() {
-            kill_mux(&inner, idx);
-        }
+        // Join whatever member threads a shutdown fan-out left running.
         for h in drain_handles(&inner) {
             let _ = h.join();
         }
@@ -224,7 +206,7 @@ impl Router {
 }
 
 /// The router as a [`Service`]: connections carry no per-connection state
-/// (member sockets are multiplexed router-wide), so `Conn` is `()`.
+/// (member connections are pooled router-wide), so `Conn` is `()`.
 struct RouterService {
     inner: Arc<RouterInner>,
 }
@@ -272,11 +254,7 @@ impl Service for RouterService {
     }
 
     fn decode_error_reply(&self, err: &DecodeError) -> String {
-        match *err {
-            DecodeError::FrameTooLong { len, max } => SxdError::FrameTooLong { len, max },
-            DecodeError::NotUtf8 => SxdError::BadJson { detail: "frame is not valid UTF-8".into() },
-        }
-        .to_reply()
+        SxdError::from(err).to_reply()
     }
 }
 
@@ -285,149 +263,45 @@ fn drain_handles(inner: &RouterInner) -> Vec<JoinHandle<Result<(), SxdError>>> {
     plock_named(&inner.handles, "sxd.router.handles").iter_mut().filter_map(Option::take).collect()
 }
 
-/// The reader half of one member mux: pairs replies to waiters in wire
-/// order. Exits on member EOF or a read error; dropping the waiter queue
-/// Receiver then disconnects every parked or future waiter (their channel
-/// recv/send errors), so nothing can wait forever on a dead connection.
-fn mux_reader(sock: TcpStream, waiters: mpsc::Receiver<ReplyTx>) {
-    let mut reader = BufReader::new(sock);
-    while let Ok(waiter) = waiters.recv() {
-        match read_frame(&mut reader, MAX_REPLY_FRAME) {
-            Ok(Some(line)) => {
-                let _ = waiter.send(Ok(line));
-            }
-            Ok(None) => {
-                let _ = waiter.send(Err(SxdError::Io {
-                    detail: "member closed the multiplexed connection".into(),
-                }));
-                break;
-            }
-            Err(e) => {
-                let _ = waiter.send(Err(e));
-                break;
-            }
-        }
-    }
-}
-
-/// Stand a freshly dialed socket up as member `idx`'s mux. If a
-/// concurrent dialer won the race, its state stays and ours retires (the
-/// dropped waiter Sender exits our reader thread).
-fn install_mux(inner: &RouterInner, idx: usize, sock: TcpStream) -> Result<(), SxdError> {
-    let reader_sock = sock.try_clone().map_err(SxdError::io)?;
-    let (wtx, wrx) = mpsc::channel();
-    std::thread::Builder::new()
-        .name(format!("sxd-mux-{idx}"))
-        .spawn(move || mux_reader(reader_sock, wrx))
-        .map_err(SxdError::io)?;
-    let mut slot = plock_named(&inner.muxes[idx], "sxd.router.mux");
-    if slot.is_none() {
-        *slot = Some(MuxState { writer: sock, waiters: wtx });
-    }
-    Ok(())
-}
-
-/// Retire member `idx`'s mux. The explicit shutdown matters: the reader
-/// thread shares the socket via `try_clone`, so only a shutdown (not a
-/// drop of our half) wakes it out of a blocked read.
-fn kill_mux(inner: &RouterInner, idx: usize) {
-    let state = plock_named(&inner.muxes[idx], "sxd.router.mux").take();
-    if let Some(s) = state {
-        let _ = s.writer.shutdown(Shutdown::Both);
-    }
-}
-
-/// Try to enqueue one frame on member `idx`'s existing mux. `Ok(None)`
-/// means there is no usable mux (none installed, or its reader exited) —
-/// dial and retry. `Err` means the write itself failed; the slot is
-/// cleared so the next attempt redials.
-fn try_enqueue(inner: &RouterInner, idx: usize, line: &str) -> Result<Option<ReplyRx>, SxdError> {
-    let mut slot = plock_named(&inner.muxes[idx], "sxd.router.mux");
-    let Some(state) = slot.as_mut() else { return Ok(None) };
-    let (tx, rx) = mpsc::channel();
-    if state.waiters.send(tx).is_err() {
-        // The reader noticed the socket die first and exited.
-        *slot = None;
-        return Ok(None);
-    }
-    // Waiter registration and the frame write are one atomic step under
-    // the mux lock: that is what pairs replies with requests in wire
-    // order when forwards interleave. Holding the mux lock across this
-    // write is therefore by design — the lock *is* the wire-order guard —
-    // and exempted the same way as the journal's append lock.
-    lockreg::blocking_io("sxd.router.mux.send", &["sxd.router.mux"]);
-    let mut buf = Vec::with_capacity(line.len() + 1);
-    buf.extend_from_slice(line.as_bytes());
-    buf.push(b'\n');
-    if let Err(e) = state.writer.write_all(&buf) {
-        *slot = None;
-        return Err(SxdError::io(e));
-    }
-    Ok(Some(rx))
-}
-
-/// Put one frame on member `idx`'s wire and return the receiver its reply
-/// will arrive on. Dials (outside every lock) when no mux is up. This is
-/// the *send phase*; pair it with [`mux_recv`] — possibly after sending
-/// more frames first, which is exactly how forwards pipeline.
-fn mux_send(inner: &RouterInner, idx: usize, line: &str) -> Result<ReplyRx, SxdError> {
-    let (addr, alive) = {
-        let members = plock_named(&inner.members, "sxd.router.members");
-        (members[idx].addr.clone(), members[idx].alive)
-    };
-    if !alive {
-        return Err(SxdError::ShardUnavailable {
-            member: inner.ring.name(idx).to_string(),
-            detail: "member has left the ring".into(),
-        });
-    }
-    if let Some(rx) = try_enqueue(inner, idx, line)? {
-        return Ok(rx);
-    }
+/// Dial member `addr`, riding out startup races (the member thread may
+/// still be binding) on a short backoff schedule.
+fn dial(addr: &str) -> Result<Client, SxdError> {
     lockreg::blocking_io("sxd.router.dial", &[]);
-    let sock = dial(&addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF)?;
-    // Forwards are small frames pipelined back-to-back; never let Nagle
-    // hold one hostage to the previous one's ACK.
-    let _ = sock.set_nodelay(true);
-    install_mux(inner, idx, sock)?;
-    match try_enqueue(inner, idx, line)? {
-        Some(rx) => Ok(rx),
-        None => Err(SxdError::ShardUnavailable {
-            member: inner.ring.name(idx).to_string(),
-            detail: "member closed the multiplexed connection while dialing".into(),
-        }),
-    }
-}
-
-/// The *collect phase*: await one reply off every lock.
-fn mux_recv(rx: ReplyRx) -> Result<String, SxdError> {
-    lockreg::blocking_io("sxd.router.recv", &[]);
-    rx.recv().unwrap_or_else(|_| {
-        Err(SxdError::Io { detail: "multiplexed member connection closed".into() })
-    })
+    Client::connect_with_retry(addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF)
 }
 
 /// Forward one raw frame to member `idx` and return the raw reply. The
 /// line goes through verbatim, so a member's reply — including a cache
-/// hit's exact payload bytes — passes back unmodified. One failed round
-/// retires the mux and retries on a fresh dial.
+/// hit's exact payload bytes — passes back unmodified. The round trip
+/// runs on a pooled connection (or a fresh dial) with no lock held; a
+/// failed round drops that connection and retries once on a fresh dial,
+/// never on another pooled one.
 fn forward(inner: &RouterInner, idx: usize, line: &str) -> Result<String, SxdError> {
-    let mut last = String::new();
-    for _attempt in 0..2 {
-        let outcome = mux_send(inner, idx, line).and_then(mux_recv);
-        match outcome {
-            Ok(reply) => {
-                plock_named(&inner.counters, "sxd.router.counters").forwarded += 1;
-                return Ok(reply);
-            }
-            Err(e) => {
-                kill_mux(inner, idx);
-                last = e.detail();
+    let member = inner.ring.name(idx).to_string();
+    let (addr, alive) = {
+        let members = plock_named(&inner.members, "sxd.router.members");
+        (members[idx].addr.clone(), members[idx].alive)
+    };
+    let mut last = "member has left the ring".to_string();
+    if alive {
+        let mut pooled = plock_named(&inner.pool[idx], "sxd.router.pool").pop();
+        for _attempt in 0..2 {
+            let round = pooled.take().map_or_else(|| dial(&addr), Ok).and_then(|mut c| {
+                lockreg::blocking_io("sxd.router.forward", &[]);
+                c.raw(line).map(|reply| (c, reply))
+            });
+            match round {
+                Ok((c, reply)) => {
+                    plock_named(&inner.pool[idx], "sxd.router.pool").push(c);
+                    plock_named(&inner.counters, "sxd.router.counters").forwarded += 1;
+                    return Ok(reply);
+                }
+                Err(e) => last = e.detail(),
             }
         }
     }
     plock_named(&inner.counters, "sxd.router.counters").unavailable += 1;
-    Err(SxdError::ShardUnavailable { member: inner.ring.name(idx).to_string(), detail: last })
+    Err(SxdError::ShardUnavailable { member, detail: last })
 }
 
 /// Resolve the key's owner among live members, or the typed reason there
@@ -467,7 +341,7 @@ fn handle_request(inner: &Arc<RouterInner>, req: Request, frame: &str) -> Result
         }
         Request::Shutdown => {
             retire_cluster(inner, &Request::Shutdown.to_line());
-            Ok("{\"ok\":true,\"shutting_down\":true}".into())
+            Ok(shutdown_ack())
         }
         Request::Drain { deadline_ms, member } => {
             let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(inner.drain_deadline);
@@ -478,10 +352,7 @@ fn handle_request(inner: &Arc<RouterInner>, req: Request, frame: &str) -> Result
             // checkpointing its own stragglers), then the router follows.
             let deadline_ms = Some(deadline.as_millis() as u64);
             retire_cluster(inner, &Request::Drain { deadline_ms, member: None }.to_line());
-            Ok(format!(
-                "{{\"ok\":true,\"draining\":true,\"deadline_ms\":{}}}",
-                deadline.as_millis()
-            ))
+            Ok(drain_ack(deadline))
         }
     }
 }
@@ -506,29 +377,15 @@ fn router_stats(inner: &RouterInner) -> RouterStats {
     }
 }
 
-/// Send `line` to every live member and collect the named reply member
-/// from each — pipelined: every member gets the frame before any reply is
-/// awaited, so the fan-out costs one round trip, not one per member. A
-/// member whose mux round fails is retried once on a fresh connection via
-/// [`forward`]; a member that stays unreachable fails the whole fan-out —
-/// a partial stats view would silently break the reconciliation sums.
+/// Forward `line` to every live member and collect the named reply member
+/// from each. A member that stays unreachable fails the whole fan-out — a
+/// partial stats view would silently break the reconciliation sums.
 fn fanout_docs(inner: &RouterInner, line: &str, member_key: &str) -> Result<Vec<Json>, SxdError> {
-    let sends: Vec<(usize, Result<ReplyRx, SxdError>)> =
-        alive_members(inner).into_iter().map(|idx| (idx, mux_send(inner, idx, line))).collect();
-    let mut docs = Vec::with_capacity(sends.len());
-    for (idx, sent) in sends {
-        let reply = match sent.and_then(mux_recv) {
-            Ok(r) => {
-                plock_named(&inner.counters, "sxd.router.counters").forwarded += 1;
-                r
-            }
-            Err(_) => {
-                kill_mux(inner, idx);
-                forward(inner, idx, line)?
-            }
-        };
+    let mut docs = Vec::new();
+    for idx in alive_members(inner) {
+        let reply = forward(inner, idx, line)?;
         let doc = Json::parse(&reply)
-            .map_err(|e| SxdError::BadJson { detail: format!("{} reply: {e}", member_key) })?;
+            .map_err(|e| SxdError::BadJson { detail: format!("{member_key} reply: {e}") })?;
         let member = doc.get(member_key).cloned().ok_or_else(|| SxdError::BadJson {
             detail: format!("member reply lacks \"{member_key}\""),
         })?;
@@ -573,12 +430,6 @@ fn initiate_shutdown(inner: &RouterInner) {
 /// checkpointed restart specs across the ring. Synchronous by design —
 /// when the reply arrives, repeat submits of the drained member's keys
 /// already hit their successors' caches byte-identically.
-///
-/// The journal replication is *batched*: every surviving entry's `put`
-/// goes on its successor's wire first (the send phase), then the acks are
-/// collected (the collect phase) — N entries cost one send burst plus one
-/// sweep instead of N serial round trips. An entry whose mux round fails
-/// is retried once on a fresh connection before failing the hand-off.
 fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<String, SxdError> {
     let (addr, state_dir) = {
         let mut members = plock_named(&inner.members, "sxd.router.members");
@@ -598,10 +449,11 @@ fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<S
         slot.alive = false;
         (slot.addr.clone(), slot.state_dir.clone())
     };
-    // The member is gone from the ring; its mux is dead weight now.
-    kill_mux(inner, idx);
+    // The member is gone from the ring; its idle connections are dead
+    // weight now.
+    plock_named(&inner.pool[idx], "sxd.router.pool").clear();
 
-    // Ask the member to drain. Dial directly (not through the mux) so a
+    // Ask the member to drain. Dial directly (not through `forward`) so a
     // dead member is tolerated: it may have crashed, and hand-off of its
     // durable journal is exactly what recovers its keyspace.
     lockreg::blocking_io("sxd.router.drain", &[]);
@@ -647,45 +499,23 @@ fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<S
                     newest.push((key, payload));
                 }
             }
-            // Send phase: pipeline every put onto its owner's wire.
-            let mut batch: Vec<(usize, String, Result<ReplyRx, SxdError>)> = Vec::new();
             for (key, payload) in newest {
                 let line = Request::Put { key, payload }.to_line();
                 if line.len() > MAX_REQUEST_FRAME {
                     skipped += 1; // the successor recomputes this key on demand
                     continue;
                 }
-                let owner = owner_of(inner, key)?;
-                let sent = mux_send(inner, owner, &line);
-                batch.push((owner, line, sent));
-            }
-            // Collect phase: one ack per entry, retrying stragglers once.
-            for (owner, line, sent) in batch {
-                match sent.and_then(mux_recv) {
-                    Ok(_) => {
-                        plock_named(&inner.counters, "sxd.router.counters").forwarded += 1;
-                    }
-                    Err(_) => {
-                        kill_mux(inner, owner);
-                        forward(inner, owner, &line)?;
-                    }
-                }
+                forward(inner, owner_of(inner, key)?, &line)?;
                 handed_off += 1;
             }
         }
         for spec in journal::load_restart_specs(&dir) {
             let Some(model) = presets::lookup(&spec.machine) else { continue };
-            let params: std::collections::BTreeMap<String, String> =
-                spec.params.iter().cloned().collect();
-            let key = cache_key(&spec.suite, model, &params);
-            let owner = owner_of(inner, key)?;
+            let params: BTreeMap<String, String> = spec.params.into_iter().collect();
+            let owner = owner_of(inner, cache_key(&spec.suite, model, &params))?;
             // A restart spec is full recompute anyway (fraction 0), so it
             // re-enters the cluster as a fresh submit at its new owner.
-            let req = Request::Submit {
-                suite: spec.suite.clone(),
-                machine: spec.machine.clone(),
-                params,
-            };
+            let req = Request::Submit { suite: spec.suite, machine: spec.machine, params };
             forward(inner, owner, &req.to_line())?;
             resubmitted += 1;
         }

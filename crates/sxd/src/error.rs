@@ -6,6 +6,7 @@
 //! panics on input. Each variant maps to a stable snake_case `kind` that
 //! goes over the wire in error replies and comes back typed on the client.
 
+use ncar_suite::reactor::DecodeError;
 use ncar_suite::report::json_escape;
 
 /// Typed serving-layer failure.
@@ -105,6 +106,18 @@ impl SxdError {
             json_escape(self.kind()),
             json_escape(&self.detail())
         )
+    }
+}
+
+/// A frame the reactor could not decode, as the error its reply carries
+/// (the typed error the blocking [`crate::proto::read_frame`] gives for
+/// the same bytes).
+impl From<&DecodeError> for SxdError {
+    fn from(err: &DecodeError) -> SxdError {
+        match *err {
+            DecodeError::FrameTooLong { len, max } => SxdError::FrameTooLong { len, max },
+            DecodeError::NotUtf8 => SxdError::BadJson { detail: "frame is not valid UTF-8".into() },
+        }
     }
 }
 

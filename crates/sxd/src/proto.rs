@@ -64,6 +64,7 @@
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
+use std::time::Duration;
 
 use ncar_suite::report::json_f64;
 use ncar_suite::wire::str_field;
@@ -343,6 +344,17 @@ fn hash_str(h: &mut Fnv64, s: &str) {
 /// that populated them.
 pub fn submit_reply(cached: bool, key: u64, payload: &str) -> String {
     format!("{{\"ok\":true,\"cached\":{cached},\"key\":\"{key:016x}\",\"result\":{payload}}}")
+}
+
+/// The ack a daemon or router sends to `shutdown`.
+pub fn shutdown_ack() -> String {
+    "{\"ok\":true,\"shutting_down\":true}".into()
+}
+
+/// The ack a daemon or router sends to `drain`, with the deadline it
+/// applies.
+pub fn drain_ack(deadline: Duration) -> String {
+    format!("{{\"ok\":true,\"draining\":true,\"deadline_ms\":{}}}", deadline.as_millis())
 }
 
 /// The inverse of [`submit_reply`]: `(cached, key, payload)` from a line

@@ -90,7 +90,9 @@ use sxsim::{presets, MachineModel};
 use crate::cache::ResultCache;
 use crate::error::SxdError;
 use crate::journal::{self, Journal, RestartSpec};
-use crate::proto::{finish_key, key_prefix, submit_reply, Request, MAX_REQUEST_FRAME};
+use crate::proto::{
+    drain_ack, finish_key, key_prefix, shutdown_ack, submit_reply, Request, MAX_REQUEST_FRAME,
+};
 use crate::stats::{CacheStats, ConnStats, DaemonMetrics, JournalStats, Metrics, Stats, SuiteRow};
 
 /// Simulated seconds charged for writing a drain checkpoint (the `chkpnt`
@@ -545,11 +547,7 @@ impl Service for DaemonService {
     /// blocking reader produced for the same bytes, then close — exactly
     /// the old `handle_conn` behavior.
     fn decode_error_reply(&self, err: &DecodeError) -> String {
-        let e = match *err {
-            DecodeError::FrameTooLong { len, max } => SxdError::FrameTooLong { len, max },
-            DecodeError::NotUtf8 => SxdError::BadJson { detail: "frame is not valid UTF-8".into() },
-        };
-        e.to_reply()
+        SxdError::from(err).to_reply()
     }
 }
 
@@ -589,7 +587,7 @@ impl Daemon {
             Ok(Request::Metrics) => Ok(self.metrics_reply()),
             Ok(Request::Shutdown) => {
                 self.initiate_shutdown();
-                Ok("{\"ok\":true,\"shutting_down\":true}".into())
+                Ok(shutdown_ack())
             }
             Ok(Request::Drain { member: Some(_), .. }) => {
                 refuse("\"member\" targets a cluster router; this is a single daemon")
@@ -598,10 +596,7 @@ impl Daemon {
                 let deadline =
                     deadline_ms.map(Duration::from_millis).unwrap_or(self.drain_deadline);
                 self.start_drain(deadline);
-                Ok(format!(
-                    "{{\"ok\":true,\"draining\":true,\"deadline_ms\":{}}}",
-                    deadline.as_millis()
-                ))
+                Ok(drain_ack(deadline))
             }
             Ok(Request::Put { key, payload }) => self.handle_put(key, &payload),
             Ok(Request::Route { .. }) => {

@@ -4,10 +4,15 @@
 //! (one shard draining out) loses no acknowledged work.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use ncar_suite::{Artifact, Json, Registry};
 use sxd::cluster::{spawn, ClusterConfig};
 use sxd::{flood, Client, Demand, FloodConfig, JobEntry, Metrics, ServerConfig, Stats};
+
+/// Runs of the `slow` suite with a nonzero `sleep_ms` that have begun.
+static SLOW_RUNS_STARTED: AtomicUsize = AtomicUsize::new(0);
 
 fn toy_registry() -> Registry<JobEntry> {
     let mut r = Registry::new();
@@ -29,6 +34,24 @@ fn toy_registry() -> Registry<JobEntry> {
                 title: format!("{} radabs", m.name),
                 value: 500.0,
                 unit: "mflops".into(),
+            }])
+        }),
+    );
+    // Sleeps `sleep_ms` of host time: a miss that holds its member
+    // connection for as long as a test needs. Members run in this process,
+    // so a test can see the sleep begin through `SLOW_RUNS_STARTED`.
+    r.register(
+        "slow",
+        JobEntry::new(Demand::light(1.0), "host-time sleeper", |m, p| {
+            let ms = p.get("sleep_ms").and_then(|v| v.parse().ok()).unwrap_or(0);
+            if ms > 0 {
+                SLOW_RUNS_STARTED.fetch_add(1, Ordering::SeqCst);
+            }
+            std::thread::sleep(Duration::from_millis(ms));
+            Ok(vec![Artifact::Scalar {
+                title: format!("{} slow {ms} ms", m.name),
+                value: ms as f64,
+                unit: "ms".into(),
             }])
         }),
     );
@@ -264,5 +287,127 @@ fn routed_stats_and_metrics_parse_and_render_back_to_their_reply_bytes() {
     assert_eq!(stats.router.as_ref().map(|r| r.members_alive), Some(2));
     assert_eq!(stats.reply(), raw);
     c.shutdown().unwrap();
+    cluster.join().unwrap();
+}
+
+fn slow_params(sleep_ms: u64, tag: usize) -> BTreeMap<String, String> {
+    let mut p = params_n(tag);
+    p.insert("sleep_ms".to_string(), sleep_ms.to_string());
+    p
+}
+
+fn owner(client: &mut Client, suite: &str, params: &BTreeMap<String, String>) -> usize {
+    let route = client.route(suite, "sx4-9.2", params).unwrap();
+    route.get("member").and_then(Json::as_u64).unwrap() as usize
+}
+
+/// The router's own `unavailable` tally, from a STATS reply.
+fn router_unavailable(client: &mut Client) -> u64 {
+    let stats = client.stats().unwrap();
+    stats.get("router").and_then(|r| r.get("unavailable")).and_then(Json::as_u64).unwrap()
+}
+
+/// A routed cache hit never queues behind a slow miss bound for the same
+/// member: each forward holds its own member connection for its one round
+/// trip, so the member answers the hit on its fast path while the miss is
+/// still running.
+#[test]
+fn a_routed_hit_does_not_wait_behind_a_slow_miss_on_the_same_member() {
+    let cluster = spawn(toy_registry(), ClusterConfig { shards: 2, ..ClusterConfig::default() })
+        .expect("cluster spawns");
+    let addr = cluster.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    let miss = slow_params(1_500, 0);
+    let member = owner(&mut client, "slow", &miss);
+    let hot = (1..)
+        .map(|tag| slow_params(0, tag))
+        .find(|p| owner(&mut client, "slow", p) == member)
+        .unwrap();
+    assert!(!client.submit("slow", "sx4-9.2", &hot).unwrap().cached, "warm the hot key");
+
+    let started = SLOW_RUNS_STARTED.load(Ordering::SeqCst);
+    let miss_addr = addr.clone();
+    let slow = std::thread::spawn(move || {
+        Client::connect(&miss_addr).unwrap().submit("slow", "sx4-9.2", &miss).unwrap()
+    });
+    // The hit follows only once the member is running the miss.
+    while SLOW_RUNS_STARTED.load(Ordering::SeqCst) == started {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let t0 = Instant::now();
+    let hit = client.submit("slow", "sx4-9.2", &hot).unwrap();
+    let waited = t0.elapsed();
+    assert!(hit.cached);
+    assert!(waited < Duration::from_millis(500), "the hit waited {waited:?} behind the miss");
+    assert!(!slow.join().unwrap().cached);
+
+    client.shutdown().unwrap();
+    cluster.join().unwrap();
+}
+
+/// A member that goes away on its own turns its keys' forwards into a
+/// prompt, typed `shard_unavailable`, counted once.
+#[test]
+fn a_lost_member_answers_shard_unavailable_and_is_counted() {
+    let cluster = spawn(toy_registry(), ClusterConfig { shards: 2, ..ClusterConfig::default() })
+        .expect("cluster spawns");
+    let addr = cluster.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    // Pool a connection to each member before one of them leaves.
+    for n in 0..8 {
+        client.submit("shallow", "sx4-9.2", &params_n(n)).unwrap();
+    }
+
+    let victim = 0;
+    let victim_addr = cluster.member_addrs()[victim].to_string();
+    Client::connect(&victim_addr).unwrap().shutdown().unwrap();
+    let t0 = Instant::now();
+    while std::net::TcpStream::connect(&victim_addr).is_ok() {
+        assert!(t0.elapsed() < Duration::from_secs(5), "member {victim} never closed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let owned = (0..).map(params_n).find(|p| owner(&mut client, "shallow", p) == victim).unwrap();
+    let t0 = Instant::now();
+    let err = client.submit("shallow", "sx4-9.2", &owned).unwrap_err();
+    assert_eq!(err.kind(), "shard_unavailable", "{err}");
+    assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+
+    // STATS fans out to every member of the ring, so take the lost one out
+    // first; the drain tolerates a member that is already gone.
+    client.drain_member(victim, Some(1_000)).unwrap();
+    assert_eq!(router_unavailable(&mut client), 1);
+
+    client.shutdown().unwrap();
+    cluster.join().unwrap();
+}
+
+/// A pooled member connection the member has idle-closed is not an outage:
+/// the forward that finds it dead retries once on a fresh dial.
+#[test]
+fn a_forward_over_an_idle_closed_member_connection_redials() {
+    let server =
+        ServerConfig { idle_timeout: Some(Duration::from_millis(100)), ..ServerConfig::default() };
+    let cluster =
+        spawn(toy_registry(), ClusterConfig { shards: 2, server, ..ClusterConfig::default() })
+            .expect("cluster spawns");
+    let addr = cluster.addr().to_string();
+    // The router idles out its clients too, so each step connects afresh.
+    let first = Client::connect(&addr).unwrap().submit("shallow", "sx4-9.2", &params_n(1)).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    let again = Client::connect(&addr).unwrap().submit("shallow", "sx4-9.2", &params_n(1)).unwrap();
+    assert!(again.cached);
+    assert_eq!(again.raw, first.raw.replace("\"cached\":false", "\"cached\":true"));
+    let mut client = Client::connect(&addr).unwrap();
+    let stats = client.stats().unwrap();
+    let members_idle_closed = stats.get("conns").and_then(|c| c.get("idle_closed"));
+    assert!(
+        members_idle_closed.and_then(Json::as_u64) >= Some(1),
+        "a member must have idle-closed the pooled connection: {stats}"
+    );
+    assert_eq!(router_unavailable(&mut client), 0);
+
+    client.shutdown().unwrap();
     cluster.join().unwrap();
 }
