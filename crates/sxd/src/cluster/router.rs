@@ -277,12 +277,11 @@ fn dial(addr: &str) -> Result<Client, SxdError> {
 /// failed round drops that connection and retries once on a fresh dial,
 /// never on another pooled one.
 fn forward(inner: &RouterInner, idx: usize, line: &str) -> Result<String, SxdError> {
-    let member = inner.ring.name(idx).to_string();
     let (addr, alive) = {
         let members = plock_named(&inner.members, "sxd.router.members");
         (members[idx].addr.clone(), members[idx].alive)
     };
-    let mut last = "member has left the ring".to_string();
+    let mut last = if alive { String::new() } else { "member has left the ring".to_string() };
     if alive {
         let mut pooled = plock_named(&inner.pool[idx], "sxd.router.pool").pop();
         for _attempt in 0..2 {
@@ -301,7 +300,7 @@ fn forward(inner: &RouterInner, idx: usize, line: &str) -> Result<String, SxdErr
         }
     }
     plock_named(&inner.counters, "sxd.router.counters").unavailable += 1;
-    Err(SxdError::ShardUnavailable { member, detail: last })
+    Err(SxdError::ShardUnavailable { member: inner.ring.name(idx).to_string(), detail: last })
 }
 
 /// Resolve the key's owner among live members, or the typed reason there

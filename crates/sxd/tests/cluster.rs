@@ -332,7 +332,9 @@ fn a_routed_hit_does_not_wait_behind_a_slow_miss_on_the_same_member() {
         Client::connect(&miss_addr).unwrap().submit("slow", "sx4-9.2", &miss).unwrap()
     });
     // The hit follows only once the member is running the miss.
+    let t0 = Instant::now();
     while SLOW_RUNS_STARTED.load(Ordering::SeqCst) == started {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the slow miss never started");
         std::thread::sleep(Duration::from_millis(1));
     }
     let t0 = Instant::now();
