@@ -346,15 +346,19 @@ echo "==> perfbench serve_mixed (the router end to end: every routed hit byte-id
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload serve_mixed --seed 7 --seconds 10 --trace 0
 
-echo "==> release ledgers (float fast-forward, batched-vs-loop equivalence, perfbench sim_charge golden check)"
+echo "==> release ledgers (float fast-forward, batched-vs-loop equivalence, pinned CCM2 bits, perfbench sim_charge golden check)"
 # The equivalence property tests — the ledgers' exact fast-forward of
 # repeated float addition (`add_repeated`), batched charges and
 # charge-program record/replay — must also hold under release-mode float
-# optimization: bit-identical ledgers are the whole point.
+# optimization: bit-identical ledgers are the whole point. So must the
+# planned FFT's identity with the unplanned recursion, and the pinned
+# bits of a functional T42 step (state, step times, op stats).
 cargo test --offline -q -p sxsim --release --lib add_repeated
 cargo test --offline -q -p sxsim --release --test batch_props
 cargo test --offline -q -p ccm-proxy --release program_tests
 cargo test --offline -q -p ocean-models --release program_tests
+cargo test --offline -q -p ncar-kernels --release --lib planned_transforms_are_bit_identical
+cargo test --offline -q -p ccm-proxy --release --test functional_bits
 # Every sim_charge pass (Fig. 5/6 ladders, a replayed CCM2 T42 step) must
 # match the BENCH_7 ledgers bit for bit, or perfbench exits 1. Five seconds
 # collect the 1000 kernel charge units a p99 needs on a 2-core host.

@@ -438,6 +438,14 @@ impl Ccm2Proxy {
         let mut tend_delta: LevSpec = vec![vec![C64::ZERO; nspec]; nlev];
         let mut tend_phi: LevSpec = vec![vec![C64::ZERO; nspec]; nlev];
         let mut phase1 = Vec::with_capacity(procs);
+        // Grid-space work arrays. Every chunk writes each of its rows before
+        // it reads them, and reads no other rows, so one set serves every
+        // chunk and level.
+        let grid = || vec![0.0; nlat * nlon];
+        let (mut zeta_g, mut delta_g, mut phi_g) = (grid(), grid(), grid());
+        let (mut dzeta_g, mut ddelta_g, mut dphi_g) = (grid(), grid(), grid());
+        let (mut u_div_g, mut v_rot_g) = (grid(), grid());
+        let (mut g_zeta, mut g_delta, mut g_phi) = (grid(), grid(), grid());
 
         for (chunk_idx, chunk) in chunks.iter().enumerate() {
             let mut vm = Vm::new(self.machine.clone());
@@ -456,12 +464,6 @@ impl Ccm2Proxy {
             for k in 0..nlev {
                 // Synthesize the prognostic fields and their zonal
                 // derivatives on this processor's latitude rows.
-                let mut zeta_g = vec![0.0; nlat * nlon];
-                let mut delta_g = vec![0.0; nlat * nlon];
-                let mut phi_g = vec![0.0; nlat * nlon];
-                let mut dzeta_g = vec![0.0; nlat * nlon];
-                let mut ddelta_g = vec![0.0; nlat * nlon];
-                let mut dphi_g = vec![0.0; nlat * nlon];
                 if let Some(ft) = trace.as_deref_mut() {
                     ft.enter("synthesis", &mut vm).expect("no region is open");
                 }
@@ -499,8 +501,6 @@ impl Ccm2Proxy {
                     }
                     out
                 };
-                let mut u_div_g = vec![0.0; nlat * nlon];
-                let mut v_rot_g = vec![0.0; nlat * nlon];
                 t.synthesize_partial(
                     &mut vm,
                     &ddl(&invlap(&self.delta[k])),
@@ -519,9 +519,6 @@ impl Ccm2Proxy {
                     ft.enter("grid tendencies", &mut vm).expect("no region is open");
                 }
                 // Grid-space tendencies on the chunk's rows.
-                let mut g_zeta = vec![0.0; nlat * nlon];
-                let mut g_delta = vec![0.0; nlat * nlon];
-                let mut g_phi = vec![0.0; nlat * nlon];
                 for l in chunk.clone() {
                     let mu = t.mu[l];
                     let cos_phi = (1.0 - mu * mu).max(1e-6).sqrt();

@@ -11,7 +11,7 @@
 
 use crate::gauss::gauss_legendre;
 use crate::legendre::{pack_index, pack_len, plm_at};
-use ncar_kernels::fft::{charge_transform_fused, rfft_spectrum, C64};
+use ncar_kernels::fft::{charge_transform_fused, Direction, FftPlan, C64};
 use std::ops::Range;
 use sxsim::{Access, VecOp, Vm, VopClass};
 
@@ -32,9 +32,13 @@ pub struct SphericalTransform {
     pub fused_transforms: usize,
     /// plm[lat * nspec + pack_index(m, n)]
     plm: Vec<f64>,
-    /// phase[lon * (trunc + 1) + m] = e^{i m lambda_lon}: the Fourier
-    /// phase factors of the synthesis leg, fixed by the geometry.
-    phase: Vec<C64>,
+    /// phase_re/phase_im[m * nlon + lon] = Re/Im e^{i m lambda_lon}: the
+    /// Fourier phase factors of the synthesis leg, fixed by the geometry,
+    /// one contiguous row of longitudes per order m.
+    phase_re: Vec<f64>,
+    phase_im: Vec<f64>,
+    /// The forward length-`nlon` FFT of the analysis leg.
+    fft: FftPlan,
 }
 
 impl SphericalTransform {
@@ -51,14 +55,27 @@ impl SphericalTransform {
         for (l, &m) in mu.iter().enumerate() {
             plm[l * nspec..(l + 1) * nspec].copy_from_slice(&plm_at(trunc, m));
         }
-        let mut phase = vec![C64::ZERO; nlon * (trunc + 1)];
-        for (j, prow) in phase.chunks_exact_mut(trunc + 1).enumerate() {
-            let lambda = 2.0 * std::f64::consts::PI * j as f64 / nlon as f64;
-            for (m, p) in prow.iter_mut().enumerate() {
-                *p = C64::cis(m as f64 * lambda);
+        let (mut phase_re, mut phase_im) = (Vec::new(), Vec::new());
+        for m in 0..=trunc {
+            for j in 0..nlon {
+                let lambda = 2.0 * std::f64::consts::PI * j as f64 / nlon as f64;
+                let p = C64::cis(m as f64 * lambda);
+                phase_re.push(p.re);
+                phase_im.push(p.im);
             }
         }
-        SphericalTransform { trunc, nlat, nlon, mu, weights, fused_transforms: 1, plm, phase }
+        SphericalTransform {
+            trunc,
+            nlat,
+            nlon,
+            mu,
+            weights,
+            fused_transforms: 1,
+            plm,
+            phase_re,
+            phase_im,
+            fft: FftPlan::new(nlon, Direction::Forward),
+        }
     }
 
     /// Packed spectral length.
@@ -84,7 +101,7 @@ impl SphericalTransform {
             .clone()
             .map(|l| {
                 let row = &grid[l * self.nlon..(l + 1) * self.nlon];
-                let mut spec = rfft_spectrum(row);
+                let mut spec = self.fft.rfft_spectrum(row);
                 spec.truncate(self.trunc + 1);
                 for c in &mut spec {
                     *c = *c * (1.0 / self.nlon as f64);
@@ -111,9 +128,9 @@ impl SphericalTransform {
             let prow = &self.plm[l * nspec..(l + 1) * nspec];
             for m in 0..=self.trunc {
                 let c = four[li][m] * w;
-                for n in m..=self.trunc {
-                    let i = self.index(m, n);
-                    spec[i] = spec[i] + c * prow[i];
+                let ms = self.index(m, m)..self.index(m, self.trunc) + 1;
+                for (a, &p) in spec[ms.clone()].iter_mut().zip(&prow[ms]) {
+                    *a = *a + c * p;
                 }
             }
         }
@@ -159,30 +176,45 @@ impl SphericalTransform {
     ) {
         assert_eq!(spec.len(), self.nspec());
         assert_eq!(grid.len(), self.nlat * self.nlon);
-        let nspec = self.nspec();
+        let (nspec, nm) = (self.nspec(), self.trunc + 1);
+        let mut cm = vec![C64::ZERO; nm];
         for l in lats.clone() {
             let prow = &self.plm[l * nspec..(l + 1) * nspec];
-            // c_m(mu_l) = sum_n a_{mn} P̄_n^m(mu_l)
-            let mut cm = vec![C64::ZERO; self.trunc + 1];
-            for m in 0..=self.trunc {
-                let mut acc = C64::ZERO;
-                for n in m..=self.trunc {
-                    let i = self.index(m, n);
-                    acc = acc + spec[i] * prow[i];
+            // c_m(mu_l) = sum_n a_{mn} P̄_n^m(mu_l), two orders per pass:
+            // the chains of m and m + 1 interleave, each keeping its own
+            // term order, so every c_m is bit-identical to a lone sum.
+            let mut m = 0;
+            while m + 1 < nm {
+                let (i0, i1) = (self.index(m, m), self.index(m + 1, m + 1));
+                let len1 = nm - (m + 1);
+                let (a0, p0) = (&spec[i0..i0 + len1 + 1], &prow[i0..i0 + len1 + 1]);
+                let (a1, p1) = (&spec[i1..i1 + len1], &prow[i1..i1 + len1]);
+                let (mut acc0, mut acc1) = (C64::ZERO, C64::ZERO);
+                for t in 0..len1 {
+                    acc0 = acc0 + a0[t] * p0[t];
+                    acc1 = acc1 + a1[t] * p1[t];
                 }
-                cm[m] = acc;
+                cm[m] = acc0 + a0[len1] * p0[len1];
+                cm[m + 1] = acc1;
+                m += 2;
+            }
+            if m < nm {
+                let i = self.index(m, m);
+                cm[m] = C64::ZERO + spec[i] * prow[i];
             }
             // f(lambda_j) = c_0 + 2 Re sum_{m>=1} c_m e^{i m lambda_j},
             // with the phase factors looked up from the precomputed table.
+            // Every longitude's sum advances at once, two orders per pass,
+            // each still adding its terms in order of m.
             let row = &mut grid[l * self.nlon..(l + 1) * self.nlon];
-            for (j, g) in row.iter_mut().enumerate() {
-                let phases = &self.phase[j * (self.trunc + 1)..(j + 1) * (self.trunc + 1)];
-                let mut v = cm[0].re;
-                for (m, c) in cm.iter().enumerate().skip(1) {
-                    let ph = phases[m];
-                    v += 2.0 * (c.re * ph.re - c.im * ph.im);
-                }
-                *g = v;
+            row.fill(cm[0].re);
+            let mut m = 1;
+            while m + 1 < nm {
+                self.fourier_pass::<2>(row, &cm, m);
+                m += 2;
+            }
+            if m < nm {
+                self.fourier_pass::<1>(row, &cm, m);
             }
         }
         // Charge the Legendre leg (per latitude, per m: one fused sweep over
@@ -190,6 +222,22 @@ impl SphericalTransform {
         self.charge_legendre_leg(vm, lats.len());
         // ...and the inverse multi-row FFT.
         charge_transform_fused(vm, self.nlon, lats.len().max(1), self.fused_transforms);
+    }
+
+    /// Add orders `m0..m0 + B` of the Fourier sum into every longitude of
+    /// `row`, in order of m.
+    fn fourier_pass<const B: usize>(&self, row: &mut [f64], cm: &[C64], m0: usize) {
+        let nlon = self.nlon;
+        let pr: [&[f64]; B] = std::array::from_fn(|b| &self.phase_re[(m0 + b) * nlon..][..nlon]);
+        let pi: [&[f64]; B] = std::array::from_fn(|b| &self.phase_im[(m0 + b) * nlon..][..nlon]);
+        for (j, g) in row.iter_mut().enumerate() {
+            let mut v = *g;
+            for b in 0..B {
+                let c = cm[m0 + b];
+                v += 2.0 * (c.re * pr[b][j] - c.im * pi[b][j]);
+            }
+            *g = v;
+        }
     }
 
     /// Full synthesis into a fresh grid.
@@ -212,6 +260,48 @@ mod tests {
     /// Small alias-free geometry for tests: T10 on 16 x 32.
     fn small() -> SphericalTransform {
         SphericalTransform::new(10, 16, 32)
+    }
+
+    /// Synthesis summed one grid point and one order at a time, each sum
+    /// a single chain: the interleaved passes must match it bit for bit.
+    fn lone_sum_synthesis(t: &SphericalTransform, spec: &[C64]) -> Vec<f64> {
+        let mut grid = vec![0.0; t.nlat * t.nlon];
+        for l in 0..t.nlat {
+            let cm: Vec<C64> = (0..=t.trunc)
+                .map(|m| {
+                    let mut acc = C64::ZERO;
+                    for n in m..=t.trunc {
+                        acc = acc + spec[t.index(m, n)] * t.plm(l, m, n);
+                    }
+                    acc
+                })
+                .collect();
+            for j in 0..t.nlon {
+                let lambda = 2.0 * std::f64::consts::PI * j as f64 / t.nlon as f64;
+                let mut v = cm[0].re;
+                for (m, c) in cm.iter().enumerate().skip(1) {
+                    let ph = C64::cis(m as f64 * lambda);
+                    v += 2.0 * (c.re * ph.re - c.im * ph.im);
+                }
+                grid[l * t.nlon + j] = v;
+            }
+        }
+        grid
+    }
+
+    #[test]
+    fn interleaved_synthesis_is_bit_identical_to_lone_sums() {
+        let mut rng = ncar_suite::SmallRng::seed_from_u64(42);
+        // Odd and even order counts exercise both ends of the m pairing.
+        for t in [small(), SphericalTransform::new(11, 18, 36)] {
+            let spec: Vec<C64> = (0..t.nspec())
+                .map(|_| C64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
+                .collect();
+            let got = t.synthesize(&mut vm(), &spec);
+            let want = lone_sum_synthesis(&t, &spec);
+            let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "T{}", t.trunc);
+        }
     }
 
     #[test]

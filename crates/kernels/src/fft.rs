@@ -13,6 +13,13 @@
 //! to the loop order under test: RFFT prices each instance's butterfly
 //! loops at their natural (short) vector lengths, VFFT prices every
 //! butterfly at vector length M across instances.
+//!
+//! Like FFTPACK, the transform splits planning from running.
+//! [`FftPlan::new`] factors the length and computes every twiddle once
+//! (FFTPACK's `rffti`); [`FftPlan::run`] reuses them in each transform
+//! (`rfftf`) and computes no sine or cosine. The free functions [`fft`],
+//! [`rfft_spectrum`] and [`irfft`] plan and run in one call. A caller that
+//! transforms many rows of one length keeps its plan.
 
 use sxsim::{Access, Cost, MachineModel, VecOp, Vm, VopClass};
 
@@ -113,70 +120,124 @@ impl Direction {
     }
 }
 
-/// In-place complex FFT of length `n` (must factor into 2/3/5).
-///
-/// Recursive decimation-in-time over the smallest remaining factor; the
-/// inverse is unnormalized (scale by 1/n to invert a forward transform).
-pub fn fft(x: &mut [C64], dir: Direction) {
-    let n = x.len();
-    if n <= 1 {
-        return;
-    }
-    let factors =
-        factorize(n).unwrap_or_else(|| panic!("FFT length {n} has a factor other than 2, 3, 5"));
-    let mut scratch = vec![C64::ZERO; n];
-    fft_rec(x, &mut scratch, n, 1, dir.sign(), &factors);
+/// A transform of one length and direction, planned once and run any
+/// number of times: FFTPACK's `rffti`/`rfftf` split. Planning factors the
+/// length and fills one twiddle table per decimation depth; running reads
+/// those tables and computes no sine or cosine.
+#[derive(Debug, Clone)]
+pub struct FftPlan {
+    n: usize,
+    dir: Direction,
+    factors: Vec<usize>,
+    /// `twiddles[d][k]` = e^{sign 2 pi i k / len}, where `len` is the
+    /// sub-transform length at decimation depth `d` (`n` at depth 0).
+    twiddles: Vec<Vec<C64>>,
 }
 
-/// Recursive worker: transforms `x[0], x[stride], ..., x[(n-1)*stride]`.
-fn fft_rec(
-    x: &mut [C64],
-    scratch: &mut [C64],
-    n: usize,
-    stride: usize,
-    sign: f64,
-    factors: &[usize],
-) {
-    if n == 1 {
-        return;
+impl FftPlan {
+    /// Plan length-`n` transforms in direction `dir`. Panics unless `n`
+    /// factors into 2, 3 and 5 (lengths 0 and 1 are trivial).
+    pub fn new(n: usize, dir: Direction) -> FftPlan {
+        let factors = if n <= 1 {
+            Vec::new()
+        } else {
+            factorize(n).unwrap_or_else(|| panic!("FFT length {n} has a factor other than 2, 3, 5"))
+        };
+        let sign = dir.sign();
+        let mut twiddles = Vec::with_capacity(factors.len());
+        let mut len = n;
+        for &r in factors.iter().rev() {
+            twiddles.push(
+                (0..len)
+                    .map(|k| C64::cis(sign * 2.0 * std::f64::consts::PI * k as f64 / len as f64))
+                    .collect(),
+            );
+            len /= r;
+        }
+        FftPlan { n, dir, factors, twiddles }
     }
-    let r = *factors.last().expect("factors exhausted before n reached 1");
-    debug_assert_eq!(n % r, 0);
-    let l = n / r;
-    let sub_factors = &factors[..factors.len() - 1];
 
-    // Decimate: r interleaved subsequences, each transformed recursively.
-    for j in 0..r {
-        fft_rec(&mut x[j * stride..], scratch, l, r * stride, sign, sub_factors);
-    }
-
-    // Combine with twiddles into scratch, then copy back.
-    let w = |k: usize| C64::cis(sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64);
-    for k in 0..l {
-        for jo in 0..r {
-            let out_idx = k + jo * l;
-            let mut acc = C64::ZERO;
-            for j in 0..r {
-                // sub-transform j, bin k lives at x[(j + k*r) * stride]
-                let v = x[(j + k * r) * stride];
-                acc = acc + v * w((out_idx * j) % n);
+    /// Transform `x` in place; `x.len()` must be the planned length.
+    pub fn run(&self, x: &mut [C64]) {
+        assert_eq!(x.len(), self.n, "FFT plan is for length {}", self.n);
+        let mut buf = vec![C64::ZERO; self.n];
+        let (mut src, mut dst) = (&mut *x, &mut buf[..]);
+        // Decimation in time, bottom-up: depth d holds `s` interleaved
+        // sub-transforms of length len = n / s (sub-transform o owns
+        // elements o, o + s, o + 2s, ...), and its combine step reads the
+        // finished sub-transforms of depth d + 1 from `src` into `dst`.
+        for (d, w) in self.twiddles.iter().enumerate().rev() {
+            let s = self.n / w.len();
+            match self.factors[self.factors.len() - 1 - d] {
+                2 => combine::<2>(src, dst, s, w),
+                3 => combine::<3>(src, dst, s, w),
+                _ => combine::<5>(src, dst, s, w),
             }
-            scratch[out_idx] = acc;
+            std::mem::swap(&mut src, &mut dst);
+        }
+        if self.twiddles.len() % 2 == 1 {
+            x.copy_from_slice(&buf);
         }
     }
-    for i in 0..n {
-        x[i * stride] = scratch[i];
+
+    /// Forward real-to-complex transform on a forward plan: the `n/2 + 1`
+    /// non-redundant bins of the spectrum of a real sequence.
+    pub fn rfft_spectrum(&self, input: &[f64]) -> Vec<C64> {
+        assert_eq!(self.dir, Direction::Forward, "rfft_spectrum needs a forward plan");
+        let mut x: Vec<C64> = input.iter().map(|&v| C64::new(v, 0.0)).collect();
+        self.run(&mut x);
+        x.truncate(self.n / 2 + 1);
+        x
     }
+}
+
+/// One radix-`R` combine step over all `s` sub-transforms of length
+/// `len = w.len()`, from `src` into `dst`. Output bin `out_idx = k + jo*l`
+/// (l = len / R) of a sub-transform sums its R children's bin k in order
+/// j = 0..R, child j weighted by twiddle (out_idx * j) mod len, reached by
+/// stepping `t` by `out_idx`. The s sub-transforms share those twiddles,
+/// and their elements sit side by side, so the innermost loop runs over
+/// them with unit stride.
+fn combine<const R: usize>(src: &[C64], dst: &mut [C64], s: usize, w: &[C64]) {
+    let len = w.len();
+    let l = len / R;
+    for k in 0..l {
+        let children: [&[C64]; R] = std::array::from_fn(|j| &src[(j + k * R) * s..][..s]);
+        for jo in 0..R {
+            let out_idx = k + jo * l;
+            let mut t = 0;
+            let tw: [C64; R] = std::array::from_fn(|_| {
+                let tw = w[t];
+                t += out_idx;
+                if t >= len {
+                    t -= len;
+                }
+                tw
+            });
+            for (o, y) in dst[out_idx * s..][..s].iter_mut().enumerate() {
+                let mut acc = C64::ZERO;
+                for j in 0..R {
+                    acc = acc + children[j][o] * tw[j];
+                }
+                *y = acc;
+            }
+        }
+    }
+}
+
+/// In-place complex FFT of length `n` (must factor into 2/3/5).
+///
+/// Mixed-radix decimation in time, one combine stage per factor (see
+/// [`FftPlan::run`]); the inverse is unnormalized (scale by 1/n to invert
+/// a forward transform).
+pub fn fft(x: &mut [C64], dir: Direction) {
+    FftPlan::new(x.len(), dir).run(x);
 }
 
 /// Forward real-to-complex transform: returns the `n/2 + 1` non-redundant
 /// bins of the spectrum of a real sequence.
 pub fn rfft_spectrum(input: &[f64]) -> Vec<C64> {
-    let n = input.len();
-    let mut x: Vec<C64> = input.iter().map(|&v| C64::new(v, 0.0)).collect();
-    fft(&mut x, Direction::Forward);
-    x.truncate(n / 2 + 1);
-    x
+    FftPlan::new(input.len(), Direction::Forward).rfft_spectrum(input)
 }
 
 /// Inverse of [`rfft_spectrum`]: reconstruct the real sequence of length `n`.
@@ -210,6 +271,44 @@ pub fn naive_dft(input: &[C64], dir: Direction) -> Vec<C64> {
         .collect()
 }
 
+/// The unplanned recursion: every butterfly term computes its own twiddle
+/// with `C64::cis` and a `%`. [`FftPlan`] must reproduce it bit for bit.
+#[cfg(test)]
+fn reference_fft(x: &mut [C64], dir: Direction) {
+    fn rec(x: &mut [C64], scratch: &mut [C64], n: usize, stride: usize, sign: f64, f: &[usize]) {
+        if n == 1 {
+            return;
+        }
+        let r = *f.last().expect("factors exhausted before n reached 1");
+        let l = n / r;
+        for j in 0..r {
+            rec(&mut x[j * stride..], scratch, l, r * stride, sign, &f[..f.len() - 1]);
+        }
+        let w = |k: usize| C64::cis(sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64);
+        for k in 0..l {
+            for jo in 0..r {
+                let out_idx = k + jo * l;
+                let mut acc = C64::ZERO;
+                for j in 0..r {
+                    let v = x[(j + k * r) * stride];
+                    acc = acc + v * w((out_idx * j) % n);
+                }
+                scratch[out_idx] = acc;
+            }
+        }
+        for i in 0..n {
+            x[i * stride] = scratch[i];
+        }
+    }
+    let n = x.len();
+    if n <= 1 {
+        return;
+    }
+    let factors = factorize(n).expect("reference length must factor into 2/3/5");
+    let mut scratch = vec![C64::ZERO; n];
+    rec(x, &mut scratch, n, 1, dir.sign(), &factors);
+}
+
 // ---------------------------------------------------------------------------
 // Timing: the two loop orders of §4.3.
 // ---------------------------------------------------------------------------
@@ -240,7 +339,7 @@ pub fn transform_flops(n: usize) -> usize {
     let mut rem = n;
     // Walk the recursion top-down: level k has n/rem sub-transforms of the
     // current size, each combined with the radix the recursion applies at
-    // that level (the *last* remaining factor — see `fft_rec`).
+    // that level (the *last* remaining factor — see `FftPlan::run`).
     let factors = factorize(n).expect("length must factor into 2/3/5");
     for &r in factors.iter().rev() {
         total += (n / rem) * stage_flops(rem, r);
@@ -391,6 +490,50 @@ mod tests {
         assert_eq!(factorize(7), None);
         assert_eq!(factorize(0), None);
         assert_eq!(factorize(1280), Some(vec![5, 2, 2, 2, 2, 2, 2, 2, 2]));
+    }
+
+    fn bits(xs: &[C64]) -> Vec<(u64, u64)> {
+        xs.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn planned_transforms_are_bit_identical_to_the_unplanned_recursion() {
+        let mut rng = ncar_suite::SmallRng::seed_from_u64(0x5eed_f7f7);
+        let lengths = (1usize..=1024).filter(|&n| factorize(n).is_some());
+        for n in lengths {
+            let input: Vec<C64> =
+                (0..n).map(|_| C64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5)).collect();
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let (mut got, mut want) = (input.clone(), input.clone());
+                fft(&mut got, dir);
+                reference_fft(&mut want, dir);
+                assert_eq!(bits(&got), bits(&want), "fft n={n} {dir:?}");
+            }
+
+            let signal: Vec<f64> = input.iter().map(|c| c.re).collect();
+            let spec = rfft_spectrum(&signal);
+            let mut want: Vec<C64> = signal.iter().map(|&v| C64::new(v, 0.0)).collect();
+            reference_fft(&mut want, Direction::Forward);
+            want.truncate(n / 2 + 1);
+            assert_eq!(bits(&spec), bits(&want), "rfft_spectrum n={n}");
+
+            let back = irfft(&spec, n);
+            let mut want = vec![C64::ZERO; n];
+            want[..spec.len()].copy_from_slice(&spec);
+            for k in spec.len()..n {
+                want[k] = want[n - k].conj();
+            }
+            reference_fft(&mut want, Direction::Inverse);
+            let want: Vec<u64> = want.iter().map(|c| (c.re / n as f64).to_bits()).collect();
+            let back: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(back, want, "irfft n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "factor other than 2, 3, 5")]
+    fn planning_a_length_with_another_factor_panics() {
+        let _ = FftPlan::new(14, Direction::Forward);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! directions" and, as in the benchmark, every column holds identical
 //! initial data. Performance is reported in Cray Y-MP equivalent Mflops.
 
-use sxsim::{Cost, MachineModel, Vm};
+use sxsim::{Access, Cost, Intrinsic, MachineModel, VecOp, Vm, VopClass};
 
 /// Number of vertical levels in CCM2's production configuration.
 pub const NLEV: usize = 18;
@@ -58,65 +58,72 @@ const STEFAN: f64 = 5.67e-8;
 
 /// Run RADABS over a batch of `ncol` identical columns with `nlev` levels.
 ///
-/// All arithmetic flows through the [`Vm`] facade as vectors across the
-/// column batch, so the machine model prices it exactly as it would price
-/// the Fortran original's column-vectorized loops.
+/// The machine is charged for every operation of the Fortran original's
+/// column-vectorized loops: each one a length-`ncol` vector instruction or
+/// intrinsic sweep, in program order. Since every column holds the same
+/// data, every element of such a vector holds the same value, so each is
+/// computed once, as the scalar the whole batch broadcasts.
 pub fn radabs(vm: &mut Vm, ncol: usize, nlev: usize) -> RadabsResult {
     assert!(ncol > 0 && nlev >= 2);
     let (pressure, temperature, h2o_path) = standard_column(nlev);
 
-    // Broadcast the column state across the batch.
-    let bcast = |v: f64| vec![v; ncol];
+    // The elementwise vector instructions, by input-stream count: one
+    // input for a scalar operand held in a register, two for a pair of
+    // vectors; one unit-stride result stream.
+    let vop = |vm: &mut Vm, class: VopClass, inputs: usize| {
+        let ins = [Access::Stride(1); 2];
+        vm.charge_vector_op(&VecOp::new(ncol, class, &ins[..inputs], &[Access::Stride(1)]));
+    };
 
     // Per-level precomputation: Planck emission B = sigma*T^4 via PWR,
     // log-pressure scaling, and a zenith modulation via SIN.
-    let mut planck = vec![vec![0.0f64; ncol]; nlev];
-    let mut logp = vec![vec![0.0f64; ncol]; nlev];
-    let mut zen = vec![vec![0.0f64; ncol]; nlev];
-    let four = bcast(4.0);
+    let mut planck = vec![0.0f64; nlev];
+    let mut logp = vec![0.0f64; nlev];
+    let mut zen = vec![0.0f64; nlev];
     for k in 0..nlev {
-        let t = bcast(temperature[k]);
-        let mut t4 = vec![0.0; ncol];
-        vm.pow(&mut t4, &t, &four); // PWR
-        vm.scale(&mut planck[k], STEFAN, &t4);
-        let p = bcast(pressure[k]);
-        vm.log(&mut logp[k], &p); // LOG
-        let ang = bcast(0.3 + 0.05 * k as f64);
-        vm.sin(&mut zen[k], &ang); // SIN
+        let t4 = temperature[k].powf(4.0);
+        vm.charge_intrinsic(Intrinsic::Pow, ncol); // PWR
+        planck[k] = STEFAN * t4;
+        vop(vm, VopClass::Mul, 1);
+        logp[k] = pressure[k].ln();
+        vm.charge_intrinsic(Intrinsic::Log, ncol); // LOG
+        zen[k] = (0.3 + 0.05 * k as f64).sin();
+        vm.charge_intrinsic(Intrinsic::Sin, ncol); // SIN
     }
 
     // Pairwise absorptivity: Malkmus band model on the path between levels.
     let c1 = 4.0 * BAND_S / (std::f64::consts::PI * BAND_BETA);
     let c2 = 0.5 * std::f64::consts::PI * BAND_BETA;
     let mut absorptivity = vec![0.0f64; nlev * nlev];
-    let mut u = vec![0.0f64; ncol];
-    let mut x = vec![0.0f64; ncol];
-    let mut root = vec![0.0f64; ncol];
-    let mut a = vec![0.0f64; ncol];
-    let mut negs = vec![0.0f64; ncol];
-    let mut tau = vec![0.0f64; ncol];
-    let mut contrib = vec![0.0f64; ncol];
-    let ones = bcast(1.0);
     for k1 in 0..nlev {
-        let pu1 = bcast(h2o_path[k1]);
         for k2 in (k1 + 1)..nlev {
-            let pu2 = bcast(h2o_path[k2]);
             // Absorber path between the levels, pressure-scaled.
-            vm.sub(&mut u, &pu2, &pu1);
-            let scale = 1.0 + 0.08 * (logp[k2][0] - logp[k1][0]).abs();
-            vm.scale(&mut x, c1 * scale, &u);
-            vm.add_scalar_in_place(&mut x, 1.0);
-            vm.sqrt(&mut root, &x); // SQRT
-            vm.sub(&mut a, &root, &ones);
-            vm.scale_in_place(&mut a, c2);
-            vm.scale(&mut negs, -1.0, &a);
-            vm.exp(&mut tau, &negs); // EXP
-                                     // Absorptivity = (1 - transmission), Planck- and zenith-weighted.
-            vm.sub(&mut contrib, &ones, &tau);
-            vm.mul_in_place(&mut contrib, &zen[k2]);
-            let w = planck[k2][0] / (planck[nlev - 1][0] + 1e-30);
-            vm.scale_in_place(&mut contrib, w);
-            let val = contrib[0];
+            let u = h2o_path[k2] - h2o_path[k1];
+            vop(vm, VopClass::Add, 2);
+            let scale = 1.0 + 0.08 * (logp[k2] - logp[k1]).abs();
+            let x = c1 * scale * u;
+            vop(vm, VopClass::Mul, 1);
+            let x = x + 1.0;
+            vop(vm, VopClass::Add, 1);
+            let root = x.sqrt();
+            vm.charge_intrinsic(Intrinsic::Sqrt, ncol); // SQRT
+            let a = root - 1.0;
+            vop(vm, VopClass::Add, 2);
+            let a = a * c2;
+            vop(vm, VopClass::Mul, 1);
+            let negs = -a;
+            vop(vm, VopClass::Mul, 1);
+            let tau = negs.exp();
+            vm.charge_intrinsic(Intrinsic::Exp, ncol); // EXP
+
+            // Absorptivity = (1 - transmission), Planck- and zenith-weighted.
+            let contrib = 1.0 - tau;
+            vop(vm, VopClass::Add, 2);
+            let contrib = contrib * zen[k2];
+            vop(vm, VopClass::Mul, 2);
+            let w = planck[k2] / (planck[nlev - 1] + 1e-30);
+            let val = contrib * w;
+            vop(vm, VopClass::Mul, 1);
             absorptivity[k1 * nlev + k2] = val;
             absorptivity[k2 * nlev + k1] = val;
         }
@@ -157,6 +164,95 @@ mod tests {
     fn run(ncol: usize) -> RadabsResult {
         let mut vm = Vm::new(presets::sx4_benchmarked());
         radabs(&mut vm, ncol, NLEV)
+    }
+
+    /// RADABS with every column computed: each operation a full-length
+    /// call of the `Vm`'s elementwise helpers. The broadcast-scalar port
+    /// must charge and compute exactly what it does.
+    fn vectorized_radabs(vm: &mut Vm, ncol: usize, nlev: usize) -> RadabsResult {
+        assert!(ncol > 0 && nlev >= 2);
+        let (pressure, temperature, h2o_path) = standard_column(nlev);
+
+        // Broadcast the column state across the batch.
+        let bcast = |v: f64| vec![v; ncol];
+
+        // Per-level precomputation: Planck emission B = sigma*T^4 via PWR,
+        // log-pressure scaling, and a zenith modulation via SIN.
+        let mut planck = vec![vec![0.0f64; ncol]; nlev];
+        let mut logp = vec![vec![0.0f64; ncol]; nlev];
+        let mut zen = vec![vec![0.0f64; ncol]; nlev];
+        let four = bcast(4.0);
+        for k in 0..nlev {
+            let t = bcast(temperature[k]);
+            let mut t4 = vec![0.0; ncol];
+            vm.pow(&mut t4, &t, &four); // PWR
+            vm.scale(&mut planck[k], STEFAN, &t4);
+            let p = bcast(pressure[k]);
+            vm.log(&mut logp[k], &p); // LOG
+            let ang = bcast(0.3 + 0.05 * k as f64);
+            vm.sin(&mut zen[k], &ang); // SIN
+        }
+
+        // Pairwise absorptivity: Malkmus band model on the path between levels.
+        let c1 = 4.0 * BAND_S / (std::f64::consts::PI * BAND_BETA);
+        let c2 = 0.5 * std::f64::consts::PI * BAND_BETA;
+        let mut absorptivity = vec![0.0f64; nlev * nlev];
+        let mut u = vec![0.0f64; ncol];
+        let mut x = vec![0.0f64; ncol];
+        let mut root = vec![0.0f64; ncol];
+        let mut a = vec![0.0f64; ncol];
+        let mut negs = vec![0.0f64; ncol];
+        let mut tau = vec![0.0f64; ncol];
+        let mut contrib = vec![0.0f64; ncol];
+        let ones = bcast(1.0);
+        for k1 in 0..nlev {
+            let pu1 = bcast(h2o_path[k1]);
+            for k2 in (k1 + 1)..nlev {
+                let pu2 = bcast(h2o_path[k2]);
+                // Absorber path between the levels, pressure-scaled.
+                vm.sub(&mut u, &pu2, &pu1);
+                let scale = 1.0 + 0.08 * (logp[k2][0] - logp[k1][0]).abs();
+                vm.scale(&mut x, c1 * scale, &u);
+                vm.add_scalar_in_place(&mut x, 1.0);
+                vm.sqrt(&mut root, &x); // SQRT
+                vm.sub(&mut a, &root, &ones);
+                vm.scale_in_place(&mut a, c2);
+                vm.scale(&mut negs, -1.0, &a);
+                vm.exp(&mut tau, &negs); // EXP
+                                         // Absorptivity = (1 - transmission), Planck- and zenith-weighted.
+                vm.sub(&mut contrib, &ones, &tau);
+                vm.mul_in_place(&mut contrib, &zen[k2]);
+                let w = planck[k2][0] / (planck[nlev - 1][0] + 1e-30);
+                vm.scale_in_place(&mut contrib, w);
+                let val = contrib[0];
+                absorptivity[k1 * nlev + k2] = val;
+                absorptivity[k2 * nlev + k1] = val;
+            }
+        }
+
+        let cost = vm.cost();
+        let cray_mflops = cost.cray_mflops(vm.model().clock_ns);
+        RadabsResult { cost, cray_mflops, absorptivity }
+    }
+
+    #[test]
+    fn broadcast_scalars_match_the_vectorized_batch_bit_for_bit() {
+        for model in [presets::sx4_benchmarked(), presets::cray_ymp(), presets::sparc20()] {
+            for (ncol, nlev) in [(1usize, 2usize), (37, NLEV), (512, NLEV), (300, 7)] {
+                let mut a = Vm::new(model.clone());
+                let mut b = Vm::new(model.clone());
+                // Twice on one Vm, as the CCM2 physics calls it.
+                for _ in 0..2 {
+                    let got = radabs(&mut a, ncol, nlev);
+                    let want = vectorized_radabs(&mut b, ncol, nlev);
+                    assert_eq!(got.cost, want.cost, "{} ncol={ncol}", model.name);
+                    assert_eq!(got.cray_mflops.to_bits(), want.cray_mflops.to_bits());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.absorptivity), bits(&want.absorptivity));
+                }
+                assert_eq!(a.stats(), b.stats(), "{} ncol={ncol}", model.name);
+            }
+        }
     }
 
     #[test]

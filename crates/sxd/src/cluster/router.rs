@@ -284,7 +284,7 @@ fn forward(inner: &RouterInner, idx: usize, line: &str) -> Result<String, SxdErr
     let mut last = if alive { String::new() } else { "member has left the ring".to_string() };
     if alive {
         let mut pooled = plock_named(&inner.pool[idx], "sxd.router.pool").pop();
-        for _attempt in 0..2 {
+        for attempt in 0..2 {
             let round = pooled.take().map_or_else(|| dial(&addr), Ok).and_then(|mut c| {
                 lockreg::blocking_io("sxd.router.forward", &[]);
                 c.raw(line).map(|reply| (c, reply))
@@ -296,6 +296,9 @@ fn forward(inner: &RouterInner, idx: usize, line: &str) -> Result<String, SxdErr
                     return Ok(reply);
                 }
                 Err(e) => last = e.detail(),
+            }
+            if attempt == 0 {
+                plock_named(&inner.counters, "sxd.router.counters").forward_retries += 1;
             }
         }
     }

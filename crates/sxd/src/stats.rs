@@ -279,6 +279,9 @@ document! {
         handoff_resubmits: u64,
         /// Forwards that failed even after a fresh dial.
         unavailable: u64,
+        /// Forwards whose first round failed and were retried on a fresh
+        /// dial (a dead pooled connection, say), whatever the retry gave.
+        forward_retries: u64,
         /// Frames answered inline on the reactor thread (`route`, parse
         /// errors): pure ring math, no member I/O.
         fastpath_hits: u64,

@@ -301,10 +301,10 @@ fn owner(client: &mut Client, suite: &str, params: &BTreeMap<String, String>) ->
     route.get("member").and_then(Json::as_u64).unwrap() as usize
 }
 
-/// The router's own `unavailable` tally, from a STATS reply.
-fn router_unavailable(client: &mut Client) -> u64 {
+/// One of the router's own tallies, from a STATS reply.
+fn router_tally(client: &mut Client, name: &str) -> u64 {
     let stats = client.stats().unwrap();
-    stats.get("router").and_then(|r| r.get("unavailable")).and_then(Json::as_u64).unwrap()
+    stats.get("router").and_then(|r| r.get(name)).and_then(Json::as_u64).unwrap()
 }
 
 /// A routed cache hit never queues behind a slow miss bound for the same
@@ -379,7 +379,7 @@ fn a_lost_member_answers_shard_unavailable_and_is_counted() {
     // STATS fans out to every member of the ring, so take the lost one out
     // first; the drain tolerates a member that is already gone.
     client.drain_member(victim, Some(1_000)).unwrap();
-    assert_eq!(router_unavailable(&mut client), 1);
+    assert_eq!(router_tally(&mut client, "unavailable"), 1);
 
     client.shutdown().unwrap();
     cluster.join().unwrap();
@@ -408,7 +408,9 @@ fn a_forward_over_an_idle_closed_member_connection_redials() {
         members_idle_closed.and_then(Json::as_u64) >= Some(1),
         "a member must have idle-closed the pooled connection: {stats}"
     );
-    assert_eq!(router_unavailable(&mut client), 0);
+    assert_eq!(router_tally(&mut client, "unavailable"), 0);
+    // The dead pooled round and its fresh-dial retry leave a trace.
+    assert!(router_tally(&mut client, "forward_retries") >= 1, "{stats}");
 
     client.shutdown().unwrap();
     cluster.join().unwrap();

@@ -103,7 +103,8 @@ const CLUSTER_STATS: &str = concat!(
     r#""suite_seconds":{"radabs":1.500000114440918,"shallow":6.000000457763672},"#,
     r#""workers":8,"journal":null,"draining":false,"shutting_down":false,"members":2,"#,
     r#""router":{"forwarded":8,"bad_requests":2,"handoff_entries":0,"handoff_skipped":0,"#,
-    r#""handoff_resubmits":0,"unavailable":0,"fastpath_hits":1,"conns":{"open":1,"#,
+    r#""handoff_resubmits":0,"unavailable":0,"forward_retries":0,"fastpath_hits":1,"#,
+    r#""conns":{"open":1,"#,
     r#""accepted":1,"idle_closed":0},"members_alive":2,"members_total":2}}}"#,
 );
 
